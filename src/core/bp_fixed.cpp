@@ -8,7 +8,7 @@ namespace abp::core {
 
 FixedSlotBpController::FixedSlotBpController(IntersectionPlan plan, FixedSlotBpConfig config)
     : plan_(std::move(plan)), config_(config) {
-  if (config_.period_s <= 0.0) {
+  if (!(config_.period_s > 0.0)) {
     throw std::invalid_argument("control period must be positive");
   }
   if (config_.amber_duration_s < 0.0 || config_.amber_duration_s >= config_.period_s) {

@@ -7,7 +7,7 @@ namespace abp::core {
 
 FixedTimeController::FixedTimeController(IntersectionPlan plan, FixedTimeConfig config)
     : plan_(std::move(plan)), config_(config) {
-  if (config_.green_duration_s <= 0.0) {
+  if (!(config_.green_duration_s > 0.0)) {
     throw std::invalid_argument("green duration must be positive");
   }
   if (config_.amber_duration_s < 0.0) {

@@ -24,7 +24,7 @@
 // contract. See docs/ROBUSTNESS.md, "ExperimentRunner failure policy".
 //
 // Oversubscription guard: run-level `jobs` multiplies with each config's
-// tick-level `threads` (the backend's road-partitioned sweep). jobs x
+// tick-level `threads` (the micro backend's road-partitioned sweep). jobs x
 // tick_threads beyond hardware_concurrency is almost never intended — it
 // only adds contention — so run() rejects it unless
 // BatchOptions::allow_oversubscribe is set. See docs/PERFORMANCE.md,

@@ -60,7 +60,6 @@
 #include "src/microsim/lane_kernel.hpp"
 #include "src/microsim/params.hpp"
 #include "src/net/network.hpp"
-#include "src/shard/sim_hooks.hpp"
 #include "src/stats/run_result.hpp"
 #include "src/traffic/demand.hpp"
 #include "src/util/rng.hpp"
@@ -116,34 +115,12 @@ class MicroSim {
   // True when no two vehicles on any lane overlap (collision check).
   [[nodiscard]] bool no_overlaps() const;
 
-  // --- Sharding surface (src/shard; docs/SHARDING.md) ---
-  // Installs the ownership masks and per-tick event staging. Must be called
-  // before the first step; null (the default) is the monolithic path. While
-  // hooks are installed the junction phase, admission, sweep and finish are
-  // masked to owned roads/junctions, grants onto remote roads extract the
-  // vehicle into hooks->micro_outbox, and step() decomposes into the three
-  // phases below so the worker can exchange boundary state between them.
-  void set_shard_hooks(shard::SimShardHooks* hooks) { shard_ = hooks; }
   // Phase split of one tick: begin = control/sample/admission/box releases,
   // service = stop-line grants, finish = lane sweep + completions + time
   // advance. step() is exactly begin; service; finish.
   void step_begin();
   void step_service();
   void step_finish();
-  // Materializes a vehicle the neighbor granted onto an owned boundary road.
-  // `from_lower_band` selects the in_junction_ insertion point that
-  // reproduces the monolithic grant order (lower band = lower node indices,
-  // so its grants precede this worker's own; the upper band's follow).
-  void ingest_transfer(const shard::MicroTransfer& t, bool from_lower_band);
-  // Mirror-state injection for remote boundary roads (grantor side).
-  void set_remote_occupancy(RoadId road, int occupancy);
-  void set_remote_congestion(RoadId road, int congestion);
-  void set_remote_lane_rears(RoadId road, const std::vector<shard::LaneRear>& rears);
-  // Mirror-state export for owned boundary roads (owner side).
-  void collect_lane_rears(RoadId road, std::vector<shard::LaneRear>& out) const;
-  [[nodiscard]] int congestion_memo(RoadId road) const {
-    return road_queued_congestion_[road.index()];
-  }
 
  private:
   enum class Loc { Outside, Lane, Junction, Done };
@@ -272,13 +249,6 @@ class MicroSim {
   [[nodiscard]] std::optional<LinkId> movement_of(const VehMeta& m, RoadId road) const;
   // True when a vehicle can be released at the start of the lane.
   [[nodiscard]] bool entry_clear(const RoadRt& rt, int lane_index) const;
-  // Shard masks: true when hooks are installed and the entity is remote.
-  [[nodiscard]] bool masked_road(std::size_t r) const {
-    return shard_ != nullptr && !shard_->own_road[r];
-  }
-  [[nodiscard]] bool masked_junction(std::size_t j) const {
-    return shard_ != nullptr && !shard_->own_junction[j];
-  }
 
   const net::Network& net_;
   MicroSimConfig config_;
@@ -360,12 +330,6 @@ class MicroSim {
   std::vector<Watch> watches_;
   stats::RunResult result_;
   bool finished_ = false;
-  // Sharding masks + event staging; null in a monolithic run (every shard
-  // branch is `shard_ != nullptr && ...`, dead in the common case).
-  shard::SimShardHooks* shard_ = nullptr;
-  // in_junction_ size right after this tick's release pass: the insertion
-  // point for next tick's lower-band transfers (see ingest_transfer).
-  std::size_t junction_mark_ = 0;
 };
 
 }  // namespace abp::microsim

@@ -19,7 +19,9 @@ namespace {
 // --- Key tables -------------------------------------------------------------
 // One table per schema object, in document order. These drive three things
 // that must never drift apart: the parser's unknown-key rejection, the
-// dumper's member order, and schema_field_paths() (the docs lint).
+// dumper's member order, and schema_field_paths() (the docs lint). Retired
+// keys (the "shard" section, queue.threads) stay in the tables so older
+// documents keep loading; the dumper skips them.
 
 constexpr const char* kTopKeys[] = {
     "version", "name",  "description", "simulator",  "duration_s",
@@ -75,8 +77,6 @@ constexpr const char* kGuardKeys[] = {"enabled", "policy", "interval_s"};
 constexpr const char* kDetectorKeys[] = {
     "enabled",   "window_samples", "warmup_samples", "drift",      "threshold",
     "min_sigma", "min_links",      "fuse_window_s",  "cooldown_s", "adapt"};
-// crash_worker/crash_at_s are deliberately absent: the crash hook is a test
-// knob, not part of the declarative schema.
 constexpr const char* kShardKeys[] = {"count", "allow_oversubscribe"};
 constexpr const char* kSurrogateKeys[] = {"enabled", "service_scale", "transit_scale",
                                           "capacity_scale", "profile"};
@@ -556,15 +556,15 @@ void load_queue(const json::Value& v, queuesim::QueueSimConfig& queue,
   if (const auto* f = v.find("sample_interval_s")) {
     queue.sample_interval_s = read_double(*f, path + ".sample_interval_s");
   }
-  if (const auto* f = v.find("threads")) queue.threads = read_int(*f, path + ".threads");
+  // Retired: the queue tick is serial. Checked as before, then ignored.
+  int threads = 1;
+  if (const auto* f = v.find("threads")) threads = read_int(*f, path + ".threads");
   if (!(queue.step_s > 0.0)) fail(path + ".step_s", "must be > 0");
   if (!(queue.control_interval_s >= queue.step_s)) {
     fail(path + ".control_interval_s", "must be >= step_s");
   }
   if (!(queue.sample_interval_s > 0.0)) fail(path + ".sample_interval_s", "must be > 0");
-  if (queue.threads < 1 || queue.threads > 256) {
-    fail(path + ".threads", "must be in [1, 256]");
-  }
+  if (threads < 1 || threads > 256) fail(path + ".threads", "must be in [1, 256]");
 }
 
 void load_watches(const json::Value& v, std::vector<WatchSpec>& watches,
@@ -747,17 +747,19 @@ void load_detector(const json::Value& v, detect::DetectorConfig& det,
   if (!(det.cooldown_s >= 0.0)) fail(path + ".cooldown_s", "must be >= 0");
 }
 
-void load_shard(const json::Value& v, ShardConfig& shard, const std::string& path) {
+// Retired "shard" section (schema versions 3-4, multi-process sharding).
+// Sharded runs were bit-identical to monolithic ones, so the section is
+// range-checked with its original messages, then ignored.
+void check_retired_shard(const json::Value& v, const std::string& path) {
   expect_object(v, path);
   check_keys(v, kShardKeys, path);
-  if (const auto* f = v.find("count")) shard.count = read_int(*f, path + ".count");
+  int count = 1;
+  if (const auto* f = v.find("count")) count = read_int(*f, path + ".count");
   if (const auto* f = v.find("allow_oversubscribe")) {
-    shard.allow_oversubscribe = read_bool(*f, path + ".allow_oversubscribe");
+    (void)read_bool(*f, path + ".allow_oversubscribe");
   }
-  if (shard.count < 1) fail(path + ".count", "must be >= 1");
-  // The partitioner further requires count <= grid rows, but that depends on
-  // the grid section; sim::make_simulator owns cross-section validation.
-  if (shard.count > 256) fail(path + ".count", "must be <= 256");
+  if (count < 1) fail(path + ".count", "must be >= 1");
+  if (count > 256) fail(path + ".count", "must be <= 256");
 }
 
 void load_surrogate(const json::Value& v, SurrogateConfig& surrogate,
@@ -903,7 +905,7 @@ ScenarioConfig load_scenario(std::string_view json_text) {
   if (const auto* f = doc.find("faults")) load_faults(*f, cfg.faults, "faults");
   if (const auto* f = doc.find("guard")) load_guard(*f, cfg.guard, "guard");
   if (const auto* f = doc.find("detector")) load_detector(*f, cfg.detector, "detector");
-  if (const auto* f = doc.find("shard")) load_shard(*f, cfg.shard, "shard");
+  if (const auto* f = doc.find("shard")) check_retired_shard(*f, "shard");
   if (const auto* f = doc.find("surrogate")) {
     load_surrogate(*f, cfg.surrogate, "surrogate");
   }
@@ -1021,7 +1023,6 @@ std::string dump_scenario(const ScenarioConfig& config) {
   queue.set("step_s", json::Value::number(config.queue.step_s));
   queue.set("control_interval_s", json::Value::number(config.queue.control_interval_s));
   queue.set("sample_interval_s", json::Value::number(config.queue.sample_interval_s));
-  queue.set("threads", json::Value::number(config.queue.threads));
   doc.set("queue", std::move(queue));
 
   json::Value watches = json::Value::array();
@@ -1092,12 +1093,6 @@ std::string dump_scenario(const ScenarioConfig& config) {
   detector.set("cooldown_s", json::Value::number(config.detector.cooldown_s));
   detector.set("adapt", json::Value::boolean(config.detector.adapt));
   doc.set("detector", std::move(detector));
-
-  json::Value shard = json::Value::object();
-  shard.set("count", json::Value::number(config.shard.count));
-  shard.set("allow_oversubscribe",
-            json::Value::boolean(config.shard.allow_oversubscribe));
-  doc.set("shard", std::move(shard));
 
   json::Value surrogate = json::Value::object();
   surrogate.set("enabled", json::Value::boolean(config.surrogate.enabled));

@@ -44,8 +44,9 @@ namespace abp::scenario {
 // kScenarioSchemaVersionMin, since every older document is a valid newer one
 // (new sections are optional with behavior-preserving defaults). Version 2
 // added the optional "detector" section (online changepoint detection);
-// version 3 the optional "shard" section (multi-process sharding); version 4
-// the optional "surrogate" section (calibrated queue-backend rescaling).
+// version 3 the optional "shard" section (multi-process sharding, since
+// retired: still accepted and checked, then ignored); version 4 the optional
+// "surrogate" section (calibrated queue-backend rescaling).
 inline constexpr int kScenarioSchemaVersion = 4;
 inline constexpr int kScenarioSchemaVersionMin = 1;
 

@@ -14,7 +14,6 @@
 #include "src/net/grid.hpp"
 #include "src/net/validation.hpp"
 #include "src/queuesim/queue_sim.hpp"
-#include "src/shard/sharded_simulator.hpp"
 #include "src/sim/run_setup.hpp"
 #include "src/sim/simulator_guard.hpp"
 
@@ -179,15 +178,8 @@ std::unique_ptr<Simulator> make_simulator(const scenario::ScenarioConfig& config
       throw std::invalid_argument("detector cooldown_s must be >= 0");
     }
   }
-  if (config.shard.count < 1) {
-    throw std::invalid_argument("shard.count must be at least 1");
-  }
   std::unique_ptr<Simulator> sim;
-  if (config.shard.count > 1) {
-    // Multi-process (or in-process multi-worker) sharded run; bit-identical
-    // to the monolithic path below (docs/SHARDING.md).
-    sim = shard::make_sharded_simulator(config);
-  } else if (config.simulator == scenario::SimulatorKind::Micro) {
+  if (config.simulator == scenario::SimulatorKind::Micro) {
     sim = std::make_unique<BackendSimulator<microsim::MicroSim>>(config);
   } else {
     sim = std::make_unique<BackendSimulator<queuesim::QueueSim>>(config);

@@ -77,7 +77,7 @@ DemandSchedule::DemandSchedule(std::vector<ScheduleSegment> segments)
     throw std::invalid_argument("demand schedule needs at least one segment");
   }
   for (const ScheduleSegment& s : segments_) {
-    if (s.duration_s <= 0.0) {
+    if (!(s.duration_s > 0.0)) {
       throw std::invalid_argument("schedule segment durations must be positive");
     }
     if (s.interarrival_scale <= 0.0) {

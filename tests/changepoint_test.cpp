@@ -106,7 +106,6 @@ TEST(ChangepointTest, DetectionIsThreadInvariant) {
   for (const int threads : {2, 8}) {
     SCOPED_TRACE(threads);
     cfg.micro.threads = threads;
-    cfg.queue.threads = threads;
     const stats::RunResult r = run_scenario(cfg);
     EXPECT_EQ(r.metrics.completed, base.metrics.completed);
     EXPECT_EQ(r.metrics.average_queuing_time_s(),

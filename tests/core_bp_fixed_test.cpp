@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace abp::core {
@@ -54,6 +55,14 @@ TEST(FixedSlotBp, RejectsBadConfig) {
   no_phases.num_links = 1;
   no_phases.phases = {{}};
   EXPECT_THROW(FixedSlotBpController(no_phases, cap_config()), std::invalid_argument);
+}
+
+TEST(FixedSlotBp, RejectsNanPeriod) {
+  // NaN fails every ordered comparison, so a `period <= 0` guard let it
+  // through and the controller never completed a slot.
+  FixedSlotBpConfig cfg = cap_config();
+  cfg.period_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FixedSlotBpController(two_phase_plan(), cfg), std::invalid_argument);
 }
 
 TEST(FixedSlotBp, NamesFollowRule) {

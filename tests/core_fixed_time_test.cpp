@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace abp::core {
@@ -31,6 +32,13 @@ TEST(FixedTime, RejectsBadConfig) {
   IntersectionPlan empty;
   empty.phases = {{}};
   EXPECT_THROW(FixedTimeController(empty, FixedTimeConfig{}), std::invalid_argument);
+}
+
+TEST(FixedTime, RejectsNanGreenDuration) {
+  EXPECT_THROW(FixedTimeController(four_phase_plan(),
+                                   {.green_duration_s =
+                                        std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
 }
 
 TEST(FixedTime, CyclesThroughAllPhasesInOrder) {

@@ -157,47 +157,5 @@ TEST(CrossSimInvariants, InvariantsHoldUnderIncidentSchedule) {
   }
 }
 
-TEST(CrossSimInvariants, InvariantsHoldAcrossShardedRun) {
-  // The same per-tick checks over a 2-shard run driven through the unified
-  // interface: conservation must hold at every slice boundary even though
-  // vehicles cross the band seam mid-run (a granted-but-not-yet-ingested
-  // vehicle is counted at its grantor until the owner acknowledges it), and
-  // every occupancy/queue query must route to the owning worker. The
-  // in-process transport keeps this deterministic and TSan-runnable.
-  for (const scenario::SimulatorKind kind :
-       {scenario::SimulatorKind::Queue, scenario::SimulatorKind::Micro}) {
-    SCOPED_TRACE(kind == scenario::SimulatorKind::Queue ? "queue" : "micro");
-    scenario::ScenarioConfig cfg = scenario::paper_scenario(
-        traffic::PatternKind::II, core::ControllerType::UtilBp);
-    cfg.grid.rows = 4;
-    cfg.grid.cols = 2;
-    cfg.seed = kSeed;
-    cfg.simulator = kind;
-    cfg.shard.count = 2;
-    cfg.shard.in_process = true;
-    cfg.shard.allow_oversubscribe = true;
-    const std::unique_ptr<sim::Simulator> simulator = sim::make_simulator(cfg);
-    check_invariants_every_tick(*simulator, simulator->network(), 400.0);
-  }
-}
-
-TEST(CrossSimInvariants, QueueSimInvariantsHoldThreaded) {
-  // The same per-tick invariants, run through the queue sim's parallel
-  // service sweep — catches partitioning bugs that happen to cancel out in
-  // the end-of-run golden metrics.
-  net::GridConfig gcfg;
-  gcfg.rows = 2;
-  gcfg.cols = 2;
-  const net::Network net = net::build_grid(gcfg);
-  core::ControllerSpec spec;
-  traffic::DemandConfig dcfg;
-  dcfg.pattern = traffic::PatternKind::II;
-  traffic::DemandGenerator demand(net, dcfg, kSeed);
-  queuesim::QueueSimConfig qcfg;
-  qcfg.threads = 4;
-  queuesim::QueueSim sim(net, qcfg, core::make_controllers(spec, net), demand);
-  check_invariants_every_tick(sim, net, 400.0);
-}
-
 }  // namespace
 }  // namespace abp

@@ -175,7 +175,6 @@ TEST(FaultInjection, ThreadInvarianceWithFaults) {
     for (int threads : {2, 8}) {
       scenario::ScenarioConfig cfg = base;
       cfg.micro.threads = threads;
-      cfg.queue.threads = threads;
       const auto parallel = scenario::run_scenario(cfg);
       SCOPED_TRACE(threads);
       expect_identical(serial.metrics, parallel.metrics);
@@ -246,7 +245,6 @@ TEST(FaultInjection, InvariantsHoldThroughIncidents) {
                    << "/threads=" << threads);
       scenario::ScenarioConfig cfg = incident_config(kind);
       cfg.micro.threads = threads;
-      cfg.queue.threads = threads;
       cfg.guard.enabled = true;
       cfg.guard.policy = scenario::GuardPolicy::Record;
       const auto r = scenario::run_scenario(cfg);

@@ -321,44 +321,6 @@ TEST(QueueSim, RejectsBadConstruction) {
                         core::make_controllers(util_spec(), net), demand),
                std::invalid_argument);
   EXPECT_THROW(QueueSim(net, QueueSimConfig{}, {}, demand), std::invalid_argument);
-  EXPECT_THROW(QueueSim(net, QueueSimConfig{.threads = 0},
-                        core::make_controllers(util_spec(), net), demand),
-               std::invalid_argument);
-}
-
-TEST(QueueSim, ParallelSweepMatchesSerialStateExactly) {
-  // Beyond the golden metric pins: the full observable mid-run state (every
-  // movement queue, every road occupancy, every banked credit, every phase)
-  // must be identical between the serial and the threaded sweep at every
-  // sampled instant.
-  const net::Network net = grid(2);
-  auto make_sim = [&](int threads, traffic::DemandGenerator& demand) {
-    QueueSimConfig cfg;
-    cfg.threads = threads;
-    return QueueSim(net, cfg, core::make_controllers(util_spec(), net), demand);
-  };
-  traffic::DemandGenerator demand_a(net, demand_cfg(traffic::PatternKind::I), 41);
-  traffic::DemandGenerator demand_b(net, demand_cfg(traffic::PatternKind::I), 41);
-  QueueSim serial = make_sim(1, demand_a);
-  QueueSim threaded = make_sim(3, demand_b);
-  for (int t = 1; t <= 300; ++t) {
-    serial.run_until(static_cast<double>(t));
-    threaded.run_until(static_cast<double>(t));
-    ASSERT_EQ(serial.vehicles_in_network(), threaded.vehicles_in_network()) << t;
-    for (const net::Road& road : net.roads()) {
-      ASSERT_EQ(serial.road_occupancy(road.id), threaded.road_occupancy(road.id))
-          << road.name << " t=" << t;
-      ASSERT_EQ(serial.queued_on_road(road.id), threaded.queued_on_road(road.id))
-          << road.name << " t=" << t;
-    }
-    for (const net::Link& l : net.links()) {
-      ASSERT_EQ(serial.link_queue(l.id), threaded.link_queue(l.id)) << t;
-      ASSERT_EQ(serial.link_credit(l.id), threaded.link_credit(l.id)) << t;
-    }
-    for (const net::Intersection& node : net.intersections()) {
-      ASSERT_EQ(serial.displayed_phase(node.id), threaded.displayed_phase(node.id)) << t;
-    }
-  }
 }
 
 TEST(QueueSim, FinishIsTerminal) {

@@ -1,5 +1,5 @@
 // Deep bit-exact comparison of two RunResults, shared by the refactor pins
-// (memo-table elision) and the shard-invariance suite. Exact double equality
+// (memo-table elision) and the retired-schema-key test. Exact double equality
 // on purpose: the transformations under test must preserve the arithmetic
 // bit for bit, not approximately.
 #pragma once

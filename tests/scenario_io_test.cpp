@@ -2,7 +2,8 @@
 // the exact path-addressed error grammar, and the round-trip guarantees
 // load(dump(c)) == c and dump(load(dump(c))) == dump(c) byte-for-byte —
 // including the hostile corners (64-bit seeds above 2^53, infinite fault
-// windows, every enum, per-junction controller overrides).
+// windows, every enum, per-junction controller overrides) — and the retired
+// keys that still load but are never dumped.
 #include "src/scenario/scenario_io.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <limits>
 #include <string>
 
+#include "src/scenario/scenario.hpp"
 #include "src/util/json.hpp"
+#include "tests/result_compare.hpp"
 
 namespace abp::scenario {
 namespace {
@@ -43,12 +46,11 @@ TEST(ScenarioIoTest, UnsupportedVersionIsRejected) {
 }
 
 TEST(ScenarioIoTest, OlderSchemaVersionsStillLoad) {
-  // Version 1 predates the detector (v2), shard (v3) and surrogate (v4)
-  // sections; a v1 document loads with all of them at their disabled
-  // defaults and re-dumps at the current version.
+  // Version 1 predates the detector (v2), shard (v3, since retired) and
+  // surrogate (v4) sections; a v1 document loads with all of them at their
+  // disabled defaults and re-dumps at the current version.
   const ScenarioConfig cfg = load_scenario(R"({"version": 1})");
   EXPECT_FALSE(cfg.detector.enabled);
-  EXPECT_EQ(cfg.shard.count, 1);
   EXPECT_FALSE(cfg.surrogate.enabled);
   EXPECT_EQ(cfg.surrogate.service_scale, 1.0);
   EXPECT_NE(dump_scenario(cfg).find("\"version\": 4"), std::string::npos);
@@ -224,7 +226,6 @@ ScenarioConfig FullConfig() {
   cfg.micro.threads = 2;
   cfg.micro.sensor.detection_probability = 0.9;
   cfg.micro.vehicle.sigma = 0.25;
-  cfg.queue.threads = 3;
   cfg.watches.push_back({0, 3, net::Side::West, "exit"});
   cfg.faults.capacity.push_back({{0, 1, net::Side::North}, 100.0, kInf, 0.0});
   cfg.faults.sensors.push_back(
@@ -233,8 +234,6 @@ ScenarioConfig FullConfig() {
   cfg.guard.enabled = true;
   cfg.guard.policy = GuardPolicy::Record;
   cfg.guard.interval_s = 2.5;
-  cfg.shard.count = 2;
-  cfg.shard.allow_oversubscribe = true;
   return cfg;
 }
 
@@ -265,7 +264,6 @@ TEST(ScenarioIoTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.controller_overrides[0].spec.type, core::ControllerType::FixedTime);
   EXPECT_EQ(back.micro.threads, cfg.micro.threads);
   EXPECT_EQ(back.micro.vehicle.sigma, cfg.micro.vehicle.sigma);
-  EXPECT_EQ(back.queue.threads, cfg.queue.threads);
   ASSERT_EQ(back.watches.size(), 1u);
   EXPECT_EQ(back.watches[0].side, net::Side::West);
   EXPECT_EQ(back.watches[0].name, "exit");
@@ -280,8 +278,32 @@ TEST(ScenarioIoTest, RoundTripPreservesEveryField) {
   EXPECT_TRUE(back.guard.enabled);
   EXPECT_EQ(back.guard.policy, GuardPolicy::Record);
   EXPECT_EQ(back.guard.interval_s, cfg.guard.interval_s);
-  EXPECT_EQ(back.shard.count, 2);
-  EXPECT_TRUE(back.shard.allow_oversubscribe);
+}
+
+TEST(ScenarioIoTest, RetiredShardAndQueueThreadsKeysLoadAndAreIgnored) {
+  // Sharding and the threaded queue tick are gone. Their schema keys keep
+  // loading (range-checked with the original messages), never re-dump, and
+  // cannot change a run: both were pinned bit-identical to the plain run.
+  for (const char* simulator : {"micro", "queue"}) {
+    SCOPED_TRACE(simulator);
+    const std::string head = std::string(R"({"version": 3, "simulator": ")") + simulator +
+                             R"(", "duration_s": 300, "grid": {"rows": 2, "cols": 2})";
+    const ScenarioConfig plain = load_scenario(head + "}");
+    const ScenarioConfig retired =
+        load_scenario(head + R"(, "queue": {"threads": 8},)" +
+                      R"( "shard": {"count": 4, "allow_oversubscribe": true}})");
+    const json::Value dumped = json::parse(dump_scenario(retired));
+    EXPECT_EQ(dumped.find("shard"), nullptr);
+    ASSERT_NE(dumped.find("queue"), nullptr);
+    EXPECT_EQ(dumped.find("queue")->find("threads"), nullptr);
+    EXPECT_EQ(dump_scenario(retired), dump_scenario(plain));
+    abp::testing::expect_results_identical(run_scenario(plain), run_scenario(retired));
+  }
+  ExpectLoadError(R"({"version": 3, "shard": {"count": 0}})", "shard.count: must be >= 1");
+  ExpectLoadError(R"({"version": 3, "shard": {"count": 257}})",
+                  "shard.count: must be <= 256");
+  ExpectLoadError(R"({"version": 3, "queue": {"threads": 0}})",
+                  "queue.threads: must be in [1, 256]");
 }
 
 TEST(ScenarioIoTest, DumpIsByteStableUnderReload) {

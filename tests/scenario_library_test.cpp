@@ -97,7 +97,6 @@ TEST(ScenarioLibraryTest, MetricsAreThreadInvariant) {
     ScenarioConfig cfg = load_scenario_file(file.string());
     const stats::RunResult base = run_scenario(cfg);
     cfg.micro.threads = 2;
-    cfg.queue.threads = 2;
     const stats::RunResult threaded = run_scenario(cfg);
     EXPECT_EQ(base.metrics.completed, threaded.metrics.completed);
     EXPECT_EQ(base.metrics.average_queuing_time_s(),

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace abp::traffic {
 namespace {
@@ -88,6 +90,12 @@ TEST(PaperDuration, OneHourExceptMixed) {
   EXPECT_DOUBLE_EQ(paper_duration_s(PatternKind::I), 3600.0);
   EXPECT_DOUBLE_EQ(paper_duration_s(PatternKind::IV), 3600.0);
   EXPECT_DOUBLE_EQ(paper_duration_s(PatternKind::Mixed), 4.0 * 3600.0);
+}
+
+TEST(DemandScheduleTest, RejectsNanSegmentDuration) {
+  const std::vector<ScheduleSegment> segments = {
+      {std::numeric_limits<double>::quiet_NaN(), PatternKind::II, 1.0}};
+  EXPECT_THROW(DemandSchedule{segments}, std::invalid_argument);
 }
 
 TEST(PatternName, AllDistinct) {
