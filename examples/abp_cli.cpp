@@ -131,48 +131,15 @@ namespace {
   std::exit(2);
 }
 
-abp::traffic::PatternKind parse_pattern(const std::string& s) {
-  using abp::traffic::PatternKind;
-  if (s == "I") return PatternKind::I;
-  if (s == "II") return PatternKind::II;
-  if (s == "III") return PatternKind::III;
-  if (s == "IV") return PatternKind::IV;
-  if (s == "mixed") return PatternKind::Mixed;
-  usage_error("unknown pattern");
-}
-
-abp::core::ControllerType parse_controller(const std::string& s) {
-  using abp::core::ControllerType;
-  if (s == "util") return ControllerType::UtilBp;
-  if (s == "cap") return ControllerType::CapBp;
-  if (s == "orig") return ControllerType::OriginalBp;
-  if (s == "fixed") return ControllerType::FixedTime;
-  usage_error("unknown controller");
-}
-
-abp::net::Side parse_side(const std::string& s) {
-  using abp::net::Side;
-  if (s == "north" || s == "N") return Side::North;
-  if (s == "east" || s == "E") return Side::East;
-  if (s == "south" || s == "S") return Side::South;
-  if (s == "west" || s == "W") return Side::West;
-  usage_error("unknown side (use north|east|south|west)");
-}
-
-abp::core::SensorFaultKind parse_sensor_kind(const std::string& s) {
-  using abp::core::SensorFaultKind;
-  if (s == "dropout") return SensorFaultKind::Dropout;
-  if (s == "stuck") return SensorFaultKind::StuckAt;
-  if (s == "noise") return SensorFaultKind::Noise;
-  usage_error("unknown sensor fault kind (use dropout|stuck|noise)");
-}
-
-abp::scenario::GuardPolicy parse_guard_policy(const std::string& s) {
-  using abp::scenario::GuardPolicy;
-  if (s == "throw") return GuardPolicy::Throw;
-  if (s == "record") return GuardPolicy::Record;
-  if (s == "abort") return GuardPolicy::Abort;
-  usage_error("unknown guard policy (use throw|record|abort)");
+// Enum flags spell their values exactly as scenario files do: the lookup
+// goes through the schema's token tables.
+template <typename E, std::size_t N>
+E parse_token(const std::string& s, const abp::scenario::Token<E> (&table)[N],
+              const char* flag) {
+  if (const E* value = abp::scenario::find_token(s, table)) return *value;
+  usage_error((std::string(flag) + ": unknown value \"" + s + "\"; " +
+               abp::scenario::expected_tokens(table))
+                  .c_str());
 }
 
 std::vector<std::string> split_fields(const std::string& s) {
@@ -283,7 +250,7 @@ int main(int argc, char** argv) {
   std::string profile_file;
   std::string report_file;
   // Sweep axes as the raw comma-separated flag values; parsed after the flag
-  // loop so error messages can name the flag.
+  // loop, before any calibration work, so error messages can name the flag.
   std::string sweep_controllers = "util,cap,orig,fixed";
   std::string sweep_patterns = "I,II,III,IV";
   std::string sweep_periods = "12,16,20";
@@ -302,10 +269,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--print-schema-fields") {
       print_schema_fields = true;
     } else if (arg == "--pattern") {
-      pattern = parse_pattern(value());
+      pattern = parse_token(value(), scenario::kPatternTokens, "--pattern");
       pattern_set = true;
     } else if (arg == "--controller") {
-      controller = parse_controller(value());
+      controller = parse_token(value(), scenario::kControllerTypeTokens, "--controller");
       controller_set = true;
     } else if (arg == "--duration") {
       duration = parse_double(value(), "--duration");
@@ -317,14 +284,7 @@ int main(int argc, char** argv) {
       seed = parse_u64(value(), "--seed");
       seed_set = true;
     } else if (arg == "--simulator") {
-      const std::string v = value();
-      if (v == "micro") {
-        simulator = scenario::SimulatorKind::Micro;
-      } else if (v == "queue") {
-        simulator = scenario::SimulatorKind::Queue;
-      } else {
-        usage_error("unknown simulator");
-      }
+      simulator = parse_token(value(), scenario::kSimulatorTokens, "--simulator");
       simulator_set = true;
     } else if (arg == "--rows") {
       rows = parse_int(value(), "--rows");
@@ -354,7 +314,8 @@ int main(int argc, char** argv) {
       if (f.size() != 6) usage_error("--fault-capacity needs R,C,SIDE,START,END,FACTOR");
       scenario::CapacityFault fault;
       fault.road = {parse_int(f[0], "--fault-capacity row"),
-                    parse_int(f[1], "--fault-capacity col"), parse_side(f[2])};
+                    parse_int(f[1], "--fault-capacity col"),
+                    parse_token(f[2], scenario::kSideTokens, "--fault-capacity side")};
       fault.start_s = parse_time(f[3], "--fault-capacity start");
       fault.end_s = parse_time(f[4], "--fault-capacity end");
       fault.capacity_factor = parse_double(f[5], "--fault-capacity factor");
@@ -367,7 +328,7 @@ int main(int argc, char** argv) {
       scenario::SensorFault fault;
       fault.node = {parse_int(f[0], "--fault-sensor row"),
                     parse_int(f[1], "--fault-sensor col")};
-      fault.kind = parse_sensor_kind(f[2]);
+      fault.kind = parse_token(f[2], scenario::kSensorFaultTokens, "--fault-sensor kind");
       fault.start_s = parse_time(f[3], "--fault-sensor start");
       fault.end_s = parse_time(f[4], "--fault-sensor end");
       if (f.size() > 5) fault.bias = parse_int(f[5], "--fault-sensor bias");
@@ -388,7 +349,7 @@ int main(int argc, char** argv) {
       faults.controllers.push_back(fault);
     } else if (arg == "--guard") {
       guard.enabled = true;
-      guard.policy = parse_guard_policy(value());
+      guard.policy = parse_token(value(), scenario::kGuardPolicyTokens, "--guard");
       guard_set = true;
     } else if (arg == "--guard-interval") {
       guard.interval_s = parse_double(value(), "--guard-interval");
@@ -458,6 +419,17 @@ int main(int argc, char** argv) {
   }
   if (!report_file.empty() && !sweep_mode) {
     usage_error("--report only applies to --surrogate-sweep");
+  }
+  surrogate::SweepAxes axes;
+  for (const std::string& c : split_fields(sweep_controllers)) {
+    axes.controllers.push_back(
+        parse_token(c, scenario::kControllerTypeTokens, "--sweep-controllers"));
+  }
+  for (const std::string& p : split_fields(sweep_patterns)) {
+    axes.patterns.push_back(parse_token(p, scenario::kPatternTokens, "--sweep-patterns"));
+  }
+  for (const std::string& p : split_fields(sweep_periods)) {
+    axes.periods_s.push_back(parse_double(p, "--sweep-periods"));
   }
   if (tick_budget < 0) usage_error("--tick-budget must be >= 0");
   if (retries < 0) usage_error("--retries must be >= 0");
@@ -557,16 +529,6 @@ int main(int argc, char** argv) {
         return 0;
       }
 
-      surrogate::SweepAxes axes;
-      for (const std::string& c : split_fields(sweep_controllers)) {
-        axes.controllers.push_back(parse_controller(c));
-      }
-      for (const std::string& p : split_fields(sweep_patterns)) {
-        axes.patterns.push_back(parse_pattern(p));
-      }
-      for (const std::string& p : split_fields(sweep_periods)) {
-        axes.periods_s.push_back(parse_double(p, "--sweep-periods"));
-      }
       sweep_options.jobs = jobs;
       sweep_options.allow_oversubscribe = allow_oversubscribe;
 

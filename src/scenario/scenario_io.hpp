@@ -1,35 +1,30 @@
 // Declarative scenario layer: JSON files <-> ScenarioConfig, validated and
-// round-trippable.
+// round-trippable. A scenario file describes everything a run needs and loads
+// into the same ScenarioConfig value the programmatic API uses, so every
+// determinism guarantee holds for file-driven runs unchanged.
+// docs/SCENARIOS.md is the schema reference, lint-checked against
+// schema_field_paths().
 //
-// This is the boundary between "workloads are C++ code" and "workloads are
-// data". A scenario file describes everything a run needs — topology, demand
-// (including time-varying segment schedules), controller selection with
-// per-junction overrides, both backends' parameters, watches, the full
-// PR-6 fault schedule and the runtime guard — and loads into the same
-// ScenarioConfig value the programmatic API uses, so every determinism
-// guarantee (fixed-seed bit-equality at any thread/jobs count) holds for
-// file-driven runs unchanged. The scenario library under scenarios/ plus
-// abp_cli --scenario are built on this; docs/SCENARIOS.md is the schema
-// reference (field-by-field semantics, defaults, validation rules,
-// determinism contract) and is lint-checked against schema_field_paths().
+// The schema is one describe() function per schema object in
+// scenario_io.cpp: each names its keys once, with their types and enum token
+// tables, and lists the object's checks. Load, dump and the field-path list
+// all walk those functions (src/scenario/schema.hpp), so they cannot drift.
 //
 // Error contract: every load failure throws ScenarioIoError whose what() is
-// exactly "<dotted.path>: <problem>" — e.g.
+// exactly "<dotted.path>: <problem>", e.g.
 //   demand.segments[2].interarrival_scale: must be > 0
 //   micro.sensor.quantisation: unknown key
-// so a failing file pinpoints the offending field without a stack trace.
-// Malformed JSON (not valid JSON at all) throws json::ParseError with
-// line/column instead, since there is no field path to report.
+// Malformed JSON (including nesting deeper than json::kMaxNestingDepth)
+// throws json::ParseError with line/column instead.
 //
-// Round-trip contract: dump_scenario() serializes *every* field in a fixed
-// order and canonical number form (shortest round-trip doubles, exact 64-bit
-// integers, infinity spelled "inf"), so for any config c,
-// load(dump(c)) == c field-for-field and dump(load(dump(c))) == dump(c)
-// byte-for-byte. The one deliberate exception: a config carrying a custom
-// PressureFn (a std::function, programmatic API only) cannot be dumped —
-// dump_scenario throws, pointing at the serializable pressure_kind field.
+// Round-trip contract: dump_scenario() writes every field in a fixed order
+// and canonical number form (shortest round-trip doubles, exact 64-bit
+// integers, infinity as "inf"), so load(dump(c)) == c field-for-field and
+// dump(load(dump(c))) == dump(c) byte-for-byte. A config carrying a custom
+// PressureFn (programmatic API only) cannot be dumped.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -63,6 +58,72 @@ class ScenarioIoError : public std::invalid_argument {
   std::string path_;
 };
 
+// --- Enum tokens --------------------------------------------------------------
+// The spelling of every enum value in scenario files. abp_cli parses its enum
+// flags through the same tables, so a flag accepts exactly the file's tokens.
+
+template <typename E>
+struct Token {
+  const char* token;
+  E value;
+};
+
+// The value spelled `s`, or nullptr when the table has no such token.
+template <typename E, std::size_t N>
+[[nodiscard]] const E* find_token(std::string_view s, const Token<E> (&table)[N]) {
+  for (const Token<E>& t : table) {
+    if (s == t.token) return &t.value;
+  }
+  return nullptr;
+}
+
+// "expected one of "a", "b"" — the problem text for an unknown token.
+template <typename E, std::size_t N>
+[[nodiscard]] std::string expected_tokens(const Token<E> (&table)[N]) {
+  std::string out = "expected one of ";
+  for (std::size_t i = 0; i < N; ++i) {
+    out += std::string(i > 0 ? ", \"" : "\"") + table[i].token + "\"";
+  }
+  return out;
+}
+
+inline constexpr Token<SimulatorKind> kSimulatorTokens[] = {
+    {"micro", SimulatorKind::Micro}, {"queue", SimulatorKind::Queue}};
+inline constexpr Token<net::Handedness> kHandednessTokens[] = {
+    {"left", net::Handedness::LeftHand}, {"right", net::Handedness::RightHand}};
+inline constexpr Token<traffic::PatternKind> kPatternTokens[] = {
+    {"I", traffic::PatternKind::I},
+    {"II", traffic::PatternKind::II},
+    {"III", traffic::PatternKind::III},
+    {"IV", traffic::PatternKind::IV},
+    {"mixed", traffic::PatternKind::Mixed}};
+inline constexpr Token<net::Side> kSideTokens[] = {{"north", net::Side::North},
+                                                   {"east", net::Side::East},
+                                                   {"south", net::Side::South},
+                                                   {"west", net::Side::West}};
+inline constexpr Token<core::ControllerType> kControllerTypeTokens[] = {
+    {"util", core::ControllerType::UtilBp},
+    {"cap", core::ControllerType::CapBp},
+    {"orig", core::ControllerType::OriginalBp},
+    {"fixed", core::ControllerType::FixedTime}};
+inline constexpr Token<core::GStarPolicy> kGStarTokens[] = {
+    {"wstar_mu", core::GStarPolicy::WStarMu},
+    {"zero", core::GStarPolicy::Zero},
+    {"constant", core::GStarPolicy::Constant}};
+inline constexpr Token<core::PressureKind> kPressureTokens[] = {
+    {"identity", core::PressureKind::Identity},
+    {"sqrt", core::PressureKind::Sqrt},
+    {"quadratic", core::PressureKind::Quadratic},
+    {"normalized", core::PressureKind::Normalized}};
+inline constexpr Token<core::SensorFaultKind> kSensorFaultTokens[] = {
+    {"dropout", core::SensorFaultKind::Dropout},
+    {"stuck_at", core::SensorFaultKind::StuckAt},
+    {"noise", core::SensorFaultKind::Noise}};
+inline constexpr Token<GuardPolicy> kGuardPolicyTokens[] = {
+    {"throw", GuardPolicy::Throw},
+    {"record", GuardPolicy::Record},
+    {"abort", GuardPolicy::Abort}};
+
 // Parses and validates one scenario document. Throws ScenarioIoError on any
 // schema violation (unknown key, wrong type, out-of-range value, overlapping
 // fault windows, ...) and json::ParseError on malformed JSON.
@@ -79,10 +140,10 @@ class ScenarioIoError : public std::invalid_argument {
 
 // Every dotted field path of the schema, in document order — array-valued
 // fields use a "[]" suffix on the array segment (e.g.
-// "demand.segments[].duration_s"). Derived from the same key tables the
-// parser's unknown-key rejection uses, so the list cannot drift from what
-// load_scenario accepts. Consumed by abp_cli --print-schema-fields and the
-// docs lint (tools/check_scenario_docs.py).
+// "demand.segments[].duration_s"). Walks the same describe() functions the
+// loader reads with, so the list cannot drift from what load_scenario
+// accepts. Consumed by abp_cli --print-schema-fields and the docs lint
+// (tools/check_scenario_docs.py).
 [[nodiscard]] std::vector<std::string> schema_field_paths();
 
 }  // namespace abp::scenario

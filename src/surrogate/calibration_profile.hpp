@@ -10,10 +10,10 @@
 // (sim::effective_grid), so a profile attached to a scenario never perturbs
 // micro-sim runs or their golden pins.
 //
-// JSON round-trip discipline matches scenario_io: canonical member order,
-// unknown keys rejected with the offending dotted path, and dump(load(dump))
-// is byte-identical (json::dump's shortest-round-trip doubles make the dump
-// a fixed point).
+// The profile file is read and written by the scenario loader's schema
+// visitors (src/scenario/schema.hpp): canonical member order, unknown keys
+// and bad values rejected with the offending dotted path, and
+// dump(load(dump)) byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +49,10 @@ struct CalibrationProfile {
 // Canonical JSON form (byte-stable: dump(load(dump)) == dump).
 [[nodiscard]] std::string dump_profile(const CalibrationProfile& profile);
 
-// Parses and validates a profile document. Throws std::invalid_argument with
-// the offending field's dotted path on unknown keys, type mismatches or
-// out-of-range scales.
+// Parses and validates a profile document. Throws std::invalid_argument
+// (scenario::ScenarioIoError) with the offending field's dotted path on
+// unknown keys, type mismatches or out-of-range values, and json::ParseError
+// on malformed JSON.
 [[nodiscard]] CalibrationProfile load_profile(std::string_view json_text);
 [[nodiscard]] CalibrationProfile load_profile_file(const std::string& file_path);
 

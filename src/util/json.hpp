@@ -44,6 +44,12 @@ class ParseError : public std::runtime_error {
   int column_;
 };
 
+// Deepest container nesting parse() accepts (the document's outermost
+// container is level 1); deeper input throws ParseError instead of recursing
+// without bound. The deepest scenario object, controller_overrides[].
+// controller.util, is at level 5.
+inline constexpr int kMaxNestingDepth = 64;
+
 class Value;
 // Object members in insertion order. Duplicate keys are rejected at parse
 // time; lookups are linear (scenario objects hold tens of keys, not

@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/scenario/scenario.hpp"
 #include "src/util/json.hpp"
@@ -74,6 +77,20 @@ TEST(ScenarioIoTest, MalformedJsonReportsLineAndColumn) {
   } catch (const json::ParseError& e) {
     EXPECT_EQ(e.line(), 3);
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+  }
+  // Nesting past json::kMaxNestingDepth is a parse error at the first
+  // container too deep, not unbounded recursion. The document is otherwise
+  // well formed, so only the depth limit can reject it.
+  const std::string prefix = R"({"version": 1, "name": )";
+  const std::string deep = prefix + std::string(100, '[') + std::string(100, ']') + "}";
+  try {
+    (void)load_scenario(deep);
+    FAIL() << "expected json::ParseError";
+  } catch (const json::ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    // The top-level object is level 1, so the 64th '[' opens level 65.
+    EXPECT_EQ(e.column(), static_cast<int>(prefix.size()) + json::kMaxNestingDepth);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64"), std::string::npos);
   }
 }
 
@@ -306,6 +323,18 @@ TEST(ScenarioIoTest, RetiredShardAndQueueThreadsKeysLoadAndAreIgnored) {
                   "queue.threads: must be in [1, 256]");
 }
 
+// The canonical dump is a file format: pin it byte-for-byte, so a change to
+// member order, number form or enum spelling shows up as a diff of
+// tests/data/full_config_dump.json rather than only as a round-trip change.
+TEST(ScenarioIoTest, FullConfigDumpMatchesTheGoldenFile) {
+  std::ifstream in(std::string(ABP_TEST_DATA_DIR) + "/full_config_dump.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing tests/data/full_config_dump.json";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(dump_scenario(FullConfig()), golden.str());
+}
+
 TEST(ScenarioIoTest, DumpIsByteStableUnderReload) {
   const std::string once = dump_scenario(FullConfig());
   EXPECT_EQ(dump_scenario(load_scenario(once)), once);
@@ -341,6 +370,47 @@ TEST(ScenarioIoTest, SchemaFieldPathsCoverTheKeyTables) {
   EXPECT_TRUE(has("micro.vehicle.sigma"));
   EXPECT_TRUE(has("faults.capacity[].road.side"));
   EXPECT_TRUE(has("guard.interval_s"));
+}
+
+// Every schema path is read with its type: a wrong-typed value at any path
+// (in a document that sets nothing else) fails with that path's "expected
+// ..." error. `true` is the wrong type for every non-boolean field; a field
+// that accepts it must be a boolean, and rejects a string as one.
+TEST(ScenarioIoTest, EveryFieldPathRejectsAWrongType) {
+  const std::vector<std::string> paths = schema_field_paths();
+  ASSERT_EQ(paths.size(), 136u);
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
+    // "a[].b.c" -> {"a": [{"b": {"c": VALUE}}]} and the indexed path a[0].b.c.
+    std::string open, close, indexed;
+    std::size_t start = 0;
+    for (;;) {
+      const std::size_t dot = path.find('.', start);
+      std::string seg = path.substr(start, dot == std::string::npos ? dot : dot - start);
+      const bool array = seg.size() > 2 && seg.compare(seg.size() - 2, 2, "[]") == 0;
+      if (array) seg.resize(seg.size() - 2);
+      indexed += (indexed.empty() ? "" : ".") + seg + (array ? "[0]" : "");
+      open += "\"" + seg + "\": ";
+      if (dot == std::string::npos) break;
+      open += array ? "[{" : "{";
+      close = (array ? "}]" : "}") + close;
+      start = dot + 1;
+    }
+    const std::string head = path == "version" ? "{" : R"({"version": 1, )";
+    const auto attempt = [&](const std::string& value, const std::string& expected) {
+      try {
+        (void)load_scenario(head + open + value + close + "}");
+        return false;
+      } catch (const ScenarioIoError& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(indexed + ": " + expected, 0), 0u)
+            << e.what();
+        return true;
+      }
+    };
+    if (!attempt("true", "expected ")) {
+      EXPECT_TRUE(attempt(R"("x")", "expected a boolean")) << "no wrong type rejected";
+    }
+  }
 }
 
 }  // namespace

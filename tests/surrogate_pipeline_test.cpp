@@ -12,6 +12,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/scenario/scenario.hpp"
@@ -19,6 +20,7 @@
 #include "src/surrogate/calibration_profile.hpp"
 #include "src/surrogate/calibrator.hpp"
 #include "src/surrogate/sweep.hpp"
+#include "src/util/json.hpp"
 
 namespace abp::surrogate {
 namespace {
@@ -89,6 +91,32 @@ TEST(SurrogateProfile, RejectsUnknownKeysAndBadScales) {
     EXPECT_EQ(std::string(e.what()),
               "version: unsupported profile version 2 (this build reads version 1)");
   }
+}
+
+// Integers too large for their field fail with the field's path, through the
+// same readers the scenario loader uses.
+TEST(SurrogateProfile, RejectsOutOfRangeIntegersByPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"version": 1, "evaluations": 99999999999999999999})",
+       "evaluations: integer out of range"},
+      {R"({"version": 1, "seed": 99999999999999999999})", "seed: must fit in 64 bits"},
+      {R"({"version": 99999999999999999999})", "version: integer out of range"},
+  };
+  for (const auto& [text, expected] : cases) {
+    SCOPED_TRACE(text);
+    try {
+      (void)load_profile(text);
+      FAIL() << "out-of-range integer accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+}
+
+TEST(SurrogateProfile, RejectsDeepNestingAsAParseError) {
+  const std::string deep =
+      R"({"version": 1, "name": )" + std::string(100000, '[') + std::string(100000, ']') + "}";
+  EXPECT_THROW((void)load_profile(deep), json::ParseError);
 }
 
 TEST(SurrogateGrid, EffectiveGridAppliesOnlyToEnabledQueueConfigs) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Lint docs/SCENARIOS.md against the scenario parser's schema.
 
-Runs `abp_cli --print-schema-fields` (the authoritative field list, generated
-from the same key tables the parser validates against) and verifies that every
-reported field path appears in backticks somewhere in docs/SCENARIOS.md.
+Runs `abp_cli --print-schema-fields` (the authoritative field list, walked from
+the same describe() functions in src/scenario/scenario_io.cpp that the loader
+reads with) and verifies that every reported field path appears in backticks
+somewhere in docs/SCENARIOS.md.
 Fails listing the missing paths, so the schema reference cannot silently
 drift from what the loader accepts.
 
