@@ -6,71 +6,48 @@
 // through the experiment runner and prints the per-seed results plus the
 // mean with a Student-t 95% confidence interval.
 //
-// Usage:
-//   abp_cli [--scenario FILE] [--dump-scenario] [--print-schema-fields]
-//           [--pattern I|II|III|IV|mixed] [--controller util|cap|orig|fixed]
-//           [--duration SECONDS] [--period SECONDS] [--seed N]
-//           [--simulator micro|queue] [--rows N] [--cols N]
-//           [--mixed-lanes] [--threads N] [--replications N]
-//           [--jobs N] [--allow-oversubscribe] [--csv PREFIX]
-//           [--incident T] [--fault-capacity R,C,SIDE,START,END,FACTOR]
-//           [--fault-sensor R,C,KIND,START,END[,BIAS[,MAG]]]
-//           [--fault-controller R,C,FAIL[,RECOVER]]
-//           [--guard throw|record|abort] [--guard-interval S]
-//           [--detect] [--detect-adapt]
-//           [--tick-budget N] [--retries N]
-//           [--calibrate] [--surrogate-sweep] [--profile FILE] [--report FILE]
-//           [--sweep-controllers LIST] [--sweep-patterns LIST]
-//           [--sweep-periods LIST] [--spot-best-k N] [--spot-fraction F]
-//           [--spot-replications N] [--trust-threshold X]
+// Usage: kUsage below; `abp_cli --help` also prints the alias table.
 //
-// Declarative scenarios (docs/SCENARIOS.md): --scenario FILE loads a JSON
-// scenario — one of the scenarios/ library files or your own — as the base
-// configuration; explicit flags then override individual fields, with
-// --pattern also clearing a file's time-varying segment schedule (one demand
-// description wins, never a mix of both). The repeatable --fault-* flags
-// append to the file's fault schedule. --dump-scenario prints the merged
-// configuration back as a canonical scenario file instead of running (pipe
-// to a file to snapshot a flag combination as a reusable scenario);
-// --print-schema-fields lists every schema field path, one per line (the
-// docs lint, tools/check_scenario_docs.py, consumes this).
+// Run configuration (docs/SCENARIOS.md, "Command-line overrides"): the base
+// is the --scenario FILE, else the paper setup for the run's demand pattern
+// (so --pattern mixed keeps the paper's 14,400 s horizon). Each --set
+// PATH=VALUE overlays one schema field in command-line order through
+// scenario::set_field, so VALUE (JSON, or a bare string) is checked exactly
+// as a scenario file is; an error exits 2 as "<flag>: <path>: <problem>".
+// The run-config flags (--pattern, --controller, --rows, ...) are aliases
+// for --set, listed in kAliases. Other flags' numbers are read as a file's
+// numbers are. --dump-scenario prints the merged configuration as a
+// canonical scenario file instead of running; --print-schema-fields lists
+// every schema field path (consumed by tools/check_scenario_docs.py).
 //
-// Two parallelism axes, which multiply (see docs/PERFORMANCE.md,
-// "Run-level vs tick-level parallelism"):
-//   --threads N  tick-level: the micro-sim's road-partitioned Krauss lane
-//                sweep. Breaks even near 16x16 grids; the queue-sim's tick
-//                is serial and ignores it.
-//   --jobs N     run-level: concurrent replications in --replications mode.
-//                Worth it for many independent runs.
-// Metrics are bit-identical at every --threads and --jobs value. Each of the
-// N concurrent runs uses --threads workers, so the CLI rejects combinations
-// that oversubscribe hardware_concurrency unless --allow-oversubscribe is
-// passed (oversubscribing only adds contention).
+// Two parallelism axes, which multiply (docs/PERFORMANCE.md, "Run-level vs
+// tick-level parallelism"): --threads N is the micro-sim's road-partitioned
+// lane sweep (breaks even near 16x16; the queue-sim's tick is serial), and
+// --jobs N runs replications concurrently. Metrics are bit-identical at
+// every value of either; combinations that oversubscribe
+// hardware_concurrency are rejected unless --allow-oversubscribe is passed.
 //
-// Fault injection (docs/ROBUSTNESS.md): the repeatable --fault-* flags add
-// timed incidents to the run's FaultSchedule; --incident T is a canned
-// mixed incident (capacity drop + sensor dropout + controller failover)
-// starting at T, used by the CI smoke step. --guard enables the runtime
-// invariant guard; --detect enables the online changepoint detector over the
-// junctions' sensor streams (docs/CHANGEPOINT.md), reporting regime-shift
-// events, and --detect-adapt additionally lets detections re-tune the
-// controllers; --tick-budget and --retries configure the experiment
-// runner's per-run deadline and retry policy in --replications mode, where
-// per-seed statuses (ok / timeout / error) are reported and the summary is
-// computed over the runs that completed.
+// Robustness (docs/ROBUSTNESS.md, docs/CHANGEPOINT.md): --incident T appends
+// a canned mixed incident (capacity drop + sensor dropout + controller
+// failover) at T to the fault schedule; other faults come from the file or
+// `--set faults.sensors=[...]`. --guard enables the runtime invariant guard,
+// --detect the online changepoint detector (`--set detector.adapt=true` lets
+// detections re-tune the controllers). --tick-budget and --retries set the
+// experiment runner's per-run deadline and retries in --replications mode,
+// which reports per-seed statuses (ok / timeout / error) and summarizes the
+// runs that completed.
 //
 // Surrogate pipeline (docs/PERFORMANCE.md, "Surrogate throughput"):
 // --calibrate fits the queue backend to the micro backend for the merged
-// base configuration and prints the CalibrationProfile JSON to stdout (pipe
-// to a file; --replications sets the paired replications per candidate).
-// --surrogate-sweep runs the controller x pattern x period grid given by the
-// comma-separated --sweep-* lists on the calibrated queue backend, micro
-// spot-checks the frontier (--spot-best-k plus a --spot-fraction stratified
-// sample, --spot-replications micro seeds each), and prints per-metric
-// surrogate error bars; --profile FILE supplies a saved profile (otherwise
-// the sweep calibrates first), --report FILE also writes the full report
-// JSON, and exit status 4 means some spot-checked config exceeded
-// --trust-threshold relative error.
+// configuration and prints the CalibrationProfile JSON (--replications sets
+// the paired replications per candidate). --surrogate-sweep runs the
+// controller x pattern x period grid of the comma-separated --sweep-* lists
+// on the calibrated queue backend, micro spot-checks the frontier
+// (--spot-best-k plus a --spot-fraction stratified sample, --spot-replications
+// seeds each) and prints per-metric surrogate error bars. --profile FILE
+// supplies a saved profile instead of calibrating, --report FILE also writes
+// the full report JSON, and exit status 4 means some spot-checked config
+// exceeded --trust-threshold relative error.
 //
 // Examples:
 //   abp_cli --pattern I --controller util
@@ -79,21 +56,22 @@
 //   abp_cli --pattern II --duration 900 --incident 300 --guard record
 //   abp_cli --scenario scenarios/rush_hour_ramp.json
 //   abp_cli --scenario scenarios/baseline_3x3.json --controller fixed --dump-scenario
-#include <cerrno>
+//   abp_cli --set grid.rows=5 --set 'micro={"dt_s":0.5,"control_interval_s":2}'
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/exp/experiment_runner.hpp"
 #include "src/scenario/scenario.hpp"
 #include "src/scenario/scenario_io.hpp"
+#include "src/scenario/schema.hpp"
 #include "src/stats/student_t.hpp"
 #include "src/surrogate/calibration_profile.hpp"
 #include "src/surrogate/calibrator.hpp"
@@ -103,43 +81,76 @@
 
 namespace {
 
-[[noreturn]] void usage_error(const char* message) {
-  std::fprintf(stderr, "abp_cli: %s\n", message);
-  std::fprintf(stderr,
-               "usage: abp_cli [--scenario FILE] [--dump-scenario] "
-               "[--print-schema-fields]\n"
-               "               [--pattern I|II|III|IV|mixed] "
-               "[--controller util|cap|orig|fixed]\n"
-               "               [--duration S] [--period S] [--seed N] "
-               "[--simulator micro|queue]\n"
-               "               [--rows N] [--cols N] [--mixed-lanes] [--threads N]\n"
-               "               [--replications N] [--jobs N]\n"
-               "               [--allow-oversubscribe]\n"
-               "               [--csv PREFIX]\n"
-               "               [--incident T] "
-               "[--fault-capacity R,C,SIDE,START,END,FACTOR]\n"
-               "               [--fault-sensor R,C,KIND,START,END[,BIAS[,MAG]]]\n"
-               "               [--fault-controller R,C,FAIL[,RECOVER]]\n"
-               "               [--guard throw|record|abort] [--guard-interval S]\n"
-               "               [--detect] [--detect-adapt]\n"
-               "               [--tick-budget N] [--retries N]\n"
-               "               [--calibrate] [--surrogate-sweep] [--profile FILE]\n"
-               "               [--report FILE] [--sweep-controllers LIST]\n"
-               "               [--sweep-patterns LIST] [--sweep-periods LIST]\n"
-               "               [--spot-best-k N] [--spot-fraction F]\n"
-               "               [--spot-replications N] [--trust-threshold X]\n");
+using abp::scenario::ScenarioIoError;
+namespace schema = abp::scenario::schema;
+
+constexpr const char* kUsage =
+    "usage: abp_cli [--scenario FILE] [--set PATH=VALUE]... [ALIAS]...\n"
+    "               [--dump-scenario] [--print-schema-fields]\n"
+    "               [--replications N] [--jobs N] [--allow-oversubscribe]\n"
+    "               [--csv PREFIX] [--incident T] [--tick-budget N] [--retries N]\n"
+    "               [--calibrate] [--surrogate-sweep] [--profile FILE]\n"
+    "               [--report FILE] [--sweep-controllers LIST]\n"
+    "               [--sweep-patterns LIST] [--sweep-periods LIST]\n"
+    "               [--spot-best-k N] [--spot-fraction F]\n"
+    "               [--spot-replications N] [--trust-threshold X]\n";
+
+// Run-config flags, each a shorthand for --set PATH=VALUE with the flag's
+// argument V or the row's fixed value. A flag may span adjacent rows, the
+// one taking V first.
+struct Alias {
+  const char* flag;
+  const char* path;
+  const char* fixed;  // nullptr: the value is the flag's argument
+};
+
+constexpr Alias kAliases[] = {
+    {"--pattern", "demand.pattern", nullptr},
+    {"--pattern", "demand.segments", "[]"},
+    {"--controller", "controller.type", nullptr},
+    {"--period", "controller.fixed_slot.period_s", nullptr},
+    {"--duration", "duration_s", nullptr},
+    {"--seed", "seed", nullptr},
+    {"--simulator", "simulator", nullptr},
+    {"--rows", "grid.rows", nullptr},
+    {"--cols", "grid.cols", nullptr},
+    {"--threads", "micro.threads", nullptr},
+    {"--mixed-lanes", "micro.dedicated_turn_lanes", "false"},
+    {"--guard", "guard.policy", nullptr},
+    {"--guard", "guard.enabled", "true"},
+    {"--guard-interval", "guard.interval_s", nullptr},
+    {"--detect", "detector.enabled", "true"},
+};
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "abp_cli: %s\n%s", message.c_str(), kUsage);
   std::exit(2);
 }
 
-// Enum flags spell their values exactly as scenario files do: the lookup
-// goes through the schema's token tables.
-template <typename E, std::size_t N>
-E parse_token(const std::string& s, const abp::scenario::Token<E> (&table)[N],
-              const char* flag) {
-  if (const E* value = abp::scenario::find_token(s, table)) return *value;
-  usage_error((std::string(flag) + ": unknown value \"" + s + "\"; " +
-               abp::scenario::expected_tokens(table))
-                  .c_str());
+void print_help() {
+  std::printf("%s\nrun-config aliases (V is the flag's argument):\n", kUsage);
+  std::string_view last;  // a flag's further rows print under its first
+  for (const Alias& a : kAliases) {
+    const std::string flag =
+        last == a.flag ? "" : std::string(a.flag) + (a.fixed == nullptr ? " V" : "");
+    std::printf("  %-18s --set %s=%s\n", flag.c_str(), a.path,
+                a.fixed != nullptr ? a.fixed : "V");
+    last = a.flag;
+  }
+}
+
+// One flag value, read exactly as a scenario file reads a field of type T:
+// the error names the flag where a file's names the field path.
+template <class T, class... Format>
+T read_flag(const std::string& flag, const std::string& text, const Format&... format) {
+  T x{};
+  try {
+    schema::read_value(schema::parse_cli_value(text), schema::Path{nullptr, flag}, x,
+                       format...);
+  } catch (const ScenarioIoError& e) {
+    usage_error(e.what());
+  }
+  return x;
 }
 
 std::vector<std::string> split_fields(const std::string& s) {
@@ -156,58 +167,17 @@ std::vector<std::string> split_fields(const std::string& s) {
   }
 }
 
-// --- Strict numeric parsing -------------------------------------------------
-// std::atoi/atof silently return 0 on garbage, so "--threads abc" used to run
-// (and then fail the range check with a misleading message) and "--seed 1x"
-// quietly dropped the "x". Every numeric flag instead goes through these:
-// the whole token must parse, and it must fit the target type, or the run
-// exits with a usage error naming the flag.
-
-[[noreturn]] void bad_number(const char* flag, const std::string& s) {
-  usage_error((std::string(flag) + ": invalid number \"" + s + "\"").c_str());
-}
-
-long long parse_i64(const std::string& s, const char* flag) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) bad_number(flag, s);
-  return v;
-}
-
-int parse_int(const std::string& s, const char* flag) {
-  const long long v = parse_i64(s, flag);
-  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
-    bad_number(flag, s);
+// Writes `file` through `fill`; reports and returns false when it cannot.
+template <class Fill>
+bool write_csv(const std::string& file, Fill fill) {
+  std::ofstream out(file);
+  if (out) {
+    abp::CsvWriter w(out);
+    fill(w);
+    out.flush();
   }
-  return static_cast<int>(v);
-}
-
-std::uint64_t parse_u64(const std::string& s, const char* flag) {
-  if (s.empty() || s[0] == '-') bad_number(flag, s);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno == ERANGE) bad_number(flag, s);
-  return v;
-}
-
-// Finite values only: strtod also accepts "nan" and "inf", which no flag
-// means (a NaN slips past every `<= 0` range check).
-double parse_double(const std::string& s, const char* flag) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE || !std::isfinite(v)) {
-    bad_number(flag, s);
-  }
-  return v;
-}
-
-// A time that may be infinite: a number, or the literal "inf".
-double parse_time(const std::string& s, const char* flag) {
-  if (s == "inf") return std::numeric_limits<double>::infinity();
-  return parse_double(s, flag);
+  if (!out) std::fprintf(stderr, "abp_cli: cannot write %s\n", file.c_str());
+  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -215,35 +185,20 @@ double parse_time(const std::string& s, const char* flag) {
 int main(int argc, char** argv) {
   using namespace abp;
 
-  traffic::PatternKind pattern = traffic::PatternKind::II;
-  core::ControllerType controller = core::ControllerType::UtilBp;
-  double duration = 0.0;
-  double period = 16.0;
-  std::uint64_t seed = 42;
-  scenario::SimulatorKind simulator = scenario::SimulatorKind::Micro;
-  int rows = 3, cols = 3;
-  int threads = 1;
-  // Which base-config fields were explicitly set on the command line. With
-  // --scenario the file is the base and only explicit flags override it;
-  // without, the paper defaults are the base and the distinction is invisible.
-  bool pattern_set = false, controller_set = false, period_set = false;
-  bool duration_set = false, seed_set = false, simulator_set = false;
-  bool rows_set = false, cols_set = false, threads_set = false;
-  bool guard_set = false, guard_interval_set = false;
+  // Run-config overrides in command-line order: --set and its aliases.
+  struct Assignment {
+    std::string flag, path, value;
+  };
+  std::vector<Assignment> assignments;
   std::string scenario_file;
   bool dump_scenario_flag = false;
   bool print_schema_fields = false;
   int replications = 1;
   int jobs = 1;
-  long long tick_budget = 0;
+  int tick_budget = 0;
   int retries = 0;
   bool allow_oversubscribe = false;
-  bool mixed_lanes = false;
-  double incident_at = -1.0;
-  bool detect_set = false;
-  bool detect_adapt = false;
-  scenario::FaultSchedule faults;
-  scenario::GuardConfig guard;
+  std::optional<double> incident_at;
   std::string csv_prefix;
   bool calibrate_mode = false;
   bool sweep_mode = false;
@@ -259,106 +214,33 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage_error(("missing value for " + arg).c_str());
+      if (i + 1 >= argc) usage_error("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--scenario") {
       scenario_file = value();
+    } else if (arg == "--set") {
+      const std::string a = value();
+      const std::size_t eq = a.find('=');
+      if (eq == std::string::npos || eq == 0) usage_error("--set: expected PATH=VALUE");
+      assignments.push_back({arg, a.substr(0, eq), a.substr(eq + 1)});
     } else if (arg == "--dump-scenario") {
       dump_scenario_flag = true;
     } else if (arg == "--print-schema-fields") {
       print_schema_fields = true;
-    } else if (arg == "--pattern") {
-      pattern = parse_token(value(), scenario::kPatternTokens, "--pattern");
-      pattern_set = true;
-    } else if (arg == "--controller") {
-      controller = parse_token(value(), scenario::kControllerTypeTokens, "--controller");
-      controller_set = true;
-    } else if (arg == "--duration") {
-      duration = parse_double(value(), "--duration");
-      duration_set = true;
-    } else if (arg == "--period") {
-      period = parse_double(value(), "--period");
-      period_set = true;
-    } else if (arg == "--seed") {
-      seed = parse_u64(value(), "--seed");
-      seed_set = true;
-    } else if (arg == "--simulator") {
-      simulator = parse_token(value(), scenario::kSimulatorTokens, "--simulator");
-      simulator_set = true;
-    } else if (arg == "--rows") {
-      rows = parse_int(value(), "--rows");
-      rows_set = true;
-    } else if (arg == "--cols") {
-      cols = parse_int(value(), "--cols");
-      cols_set = true;
-    } else if (arg == "--threads") {
-      threads = parse_int(value(), "--threads");
-      threads_set = true;
     } else if (arg == "--replications") {
-      replications = parse_int(value(), "--replications");
+      replications = read_flag<int>(arg, value());
     } else if (arg == "--jobs") {
-      jobs = parse_int(value(), "--jobs");
+      jobs = read_flag<int>(arg, value());
     } else if (arg == "--tick-budget") {
-      tick_budget = parse_i64(value(), "--tick-budget");
+      tick_budget = read_flag<int>(arg, value());
     } else if (arg == "--retries") {
-      retries = parse_int(value(), "--retries");
+      retries = read_flag<int>(arg, value());
     } else if (arg == "--allow-oversubscribe") {
       allow_oversubscribe = true;
-    } else if (arg == "--mixed-lanes") {
-      mixed_lanes = true;
     } else if (arg == "--incident") {
-      incident_at = parse_double(value(), "--incident");
-    } else if (arg == "--fault-capacity") {
-      const std::vector<std::string> f = split_fields(value());
-      if (f.size() != 6) usage_error("--fault-capacity needs R,C,SIDE,START,END,FACTOR");
-      scenario::CapacityFault fault;
-      fault.road = {parse_int(f[0], "--fault-capacity row"),
-                    parse_int(f[1], "--fault-capacity col"),
-                    parse_token(f[2], scenario::kSideTokens, "--fault-capacity side")};
-      fault.start_s = parse_time(f[3], "--fault-capacity start");
-      fault.end_s = parse_time(f[4], "--fault-capacity end");
-      fault.capacity_factor = parse_double(f[5], "--fault-capacity factor");
-      faults.capacity.push_back(fault);
-    } else if (arg == "--fault-sensor") {
-      const std::vector<std::string> f = split_fields(value());
-      if (f.size() < 5 || f.size() > 7) {
-        usage_error("--fault-sensor needs R,C,KIND,START,END[,BIAS[,MAG]]");
-      }
-      scenario::SensorFault fault;
-      fault.node = {parse_int(f[0], "--fault-sensor row"),
-                    parse_int(f[1], "--fault-sensor col")};
-      fault.kind = parse_token(f[2], scenario::kSensorFaultTokens, "--fault-sensor kind");
-      fault.start_s = parse_time(f[3], "--fault-sensor start");
-      fault.end_s = parse_time(f[4], "--fault-sensor end");
-      if (f.size() > 5) fault.bias = parse_int(f[5], "--fault-sensor bias");
-      if (f.size() > 6) {
-        fault.noise_magnitude = parse_int(f[6], "--fault-sensor magnitude");
-      }
-      faults.sensors.push_back(fault);
-    } else if (arg == "--fault-controller") {
-      const std::vector<std::string> f = split_fields(value());
-      if (f.size() < 3 || f.size() > 4) {
-        usage_error("--fault-controller needs R,C,FAIL[,RECOVER]");
-      }
-      scenario::ControllerFault fault;
-      fault.node = {parse_int(f[0], "--fault-controller row"),
-                    parse_int(f[1], "--fault-controller col")};
-      fault.fail_s = parse_time(f[2], "--fault-controller fail");
-      if (f.size() > 3) fault.recover_s = parse_time(f[3], "--fault-controller recover");
-      faults.controllers.push_back(fault);
-    } else if (arg == "--guard") {
-      guard.enabled = true;
-      guard.policy = parse_token(value(), scenario::kGuardPolicyTokens, "--guard");
-      guard_set = true;
-    } else if (arg == "--guard-interval") {
-      guard.interval_s = parse_double(value(), "--guard-interval");
-      guard_interval_set = true;
-    } else if (arg == "--detect") {
-      detect_set = true;
-    } else if (arg == "--detect-adapt") {
-      detect_set = true;
-      detect_adapt = true;
+      incident_at = read_flag<double>(arg, value());
+      if (*incident_at < 0.0) usage_error("--incident: must be >= 0");
     } else if (arg == "--csv") {
       csv_prefix = value();
     } else if (arg == "--calibrate") {
@@ -376,17 +258,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--sweep-periods") {
       sweep_periods = value();
     } else if (arg == "--spot-best-k") {
-      sweep_options.best_k = parse_int(value(), "--spot-best-k");
+      sweep_options.best_k = read_flag<int>(arg, value());
     } else if (arg == "--spot-fraction") {
-      sweep_options.sample_fraction = parse_double(value(), "--spot-fraction");
+      sweep_options.sample_fraction = read_flag<double>(arg, value());
     } else if (arg == "--spot-replications") {
-      sweep_options.spot_replications = parse_int(value(), "--spot-replications");
+      sweep_options.spot_replications = read_flag<int>(arg, value());
     } else if (arg == "--trust-threshold") {
-      sweep_options.trust_threshold = parse_double(value(), "--trust-threshold");
+      sweep_options.trust_threshold = read_flag<double>(arg, value());
     } else if (arg == "--help" || arg == "-h") {
-      usage_error("help requested");
+      print_help();
+      return 0;
     } else {
-      usage_error(("unknown argument " + arg).c_str());
+      const std::size_t before = assignments.size();
+      std::string given;
+      for (const Alias& a : kAliases) {
+        if (arg != a.flag) continue;
+        if (a.fixed == nullptr) given = value();
+        assignments.push_back({arg, a.path, a.fixed != nullptr ? a.fixed : given});
+      }
+      if (assignments.size() == before) usage_error("unknown argument " + arg);
     }
   }
 
@@ -397,17 +287,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (duration_set && !(duration > 0.0)) usage_error("--duration must be > 0");
-  if (threads < 1 || threads > 256) usage_error("--threads must be in [1, 256]");
   if (replications < 1) usage_error("--replications must be >= 1");
   if (jobs < 1 || jobs > 256) usage_error("--jobs must be in [1, 256]");
   if (jobs > 1 && replications == 1 && !calibrate_mode && !sweep_mode) {
     usage_error("--jobs only applies to --replications batches or surrogate modes");
   }
   if (sweep_options.best_k < 0) usage_error("--spot-best-k must be >= 0");
-  if (sweep_options.sample_fraction < 0.0) {
-    usage_error("--spot-fraction must be >= 0");
-  }
+  if (sweep_options.sample_fraction < 0.0) usage_error("--spot-fraction must be >= 0");
   if (sweep_options.spot_replications < 1) {
     usage_error("--spot-replications must be >= 1");
   }
@@ -422,14 +308,15 @@ int main(int argc, char** argv) {
   }
   surrogate::SweepAxes axes;
   for (const std::string& c : split_fields(sweep_controllers)) {
-    axes.controllers.push_back(
-        parse_token(c, scenario::kControllerTypeTokens, "--sweep-controllers"));
+    axes.controllers.push_back(read_flag<core::ControllerType>(
+        "--sweep-controllers", c, scenario::kControllerTypeTokens));
   }
   for (const std::string& p : split_fields(sweep_patterns)) {
-    axes.patterns.push_back(parse_token(p, scenario::kPatternTokens, "--sweep-patterns"));
+    axes.patterns.push_back(
+        read_flag<traffic::PatternKind>("--sweep-patterns", p, scenario::kPatternTokens));
   }
   for (const std::string& p : split_fields(sweep_periods)) {
-    axes.periods_s.push_back(parse_double(p, "--sweep-periods"));
+    axes.periods_s.push_back(read_flag<double>("--sweep-periods", p));
   }
   if (tick_budget < 0) usage_error("--tick-budget must be >= 0");
   if (retries < 0) usage_error("--retries must be >= 0");
@@ -437,63 +324,47 @@ int main(int argc, char** argv) {
     usage_error("--tick-budget/--retries only apply to --replications batches");
   }
 
-  // Base configuration: the scenario file when given, the paper setup
-  // otherwise. Explicit flags then override field by field, so
-  // `--scenario X --seed 7` is X's run at a different seed, nothing more.
-  scenario::ScenarioConfig cfg;
-  if (!scenario_file.empty()) {
+  // Base configuration: the scenario file when given, else the paper setup
+  // for the run's pattern. The assignments then apply in command-line order,
+  // so `--scenario X --seed 7` is X's run at a different seed, nothing more.
+  const auto apply_assignments = [&](scenario::ScenarioConfig& c) {
+    for (const Assignment& a : assignments) {
+      try {
+        scenario::set_field(c, a.path, a.value);
+      } catch (const ScenarioIoError& e) {
+        usage_error(a.flag + ": " + e.what());
+      }
+    }
+  };
+  scenario::ScenarioConfig cfg =
+      scenario::paper_scenario(traffic::PatternKind::II, core::ControllerType::UtilBp);
+  if (scenario_file.empty()) {
+    // A first pass finds the run's pattern; its paper horizon is the default.
+    apply_assignments(cfg);
+    cfg = scenario::paper_scenario(cfg.demand.pattern, core::ControllerType::UtilBp);
+  } else {
     try {
       cfg = scenario::load_scenario_file(scenario_file);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "abp_cli: %s: %s\n", scenario_file.c_str(), e.what());
       return 1;
     }
-  } else {
-    cfg = scenario::paper_scenario(pattern, controller, period);
   }
-  if (pattern_set) {
-    cfg.demand.pattern = pattern;
-    // One demand description wins: an explicit pattern replaces a scenario
-    // file's time-varying segment schedule rather than silently coexisting.
-    cfg.demand.schedule = traffic::DemandSchedule{};
-  }
-  if (controller_set) cfg.controller.type = controller;
-  if (period_set) cfg.controller.fixed_slot.period_s = period;
-  if (seed_set) cfg.seed = seed;
-  if (simulator_set) cfg.simulator = simulator;
-  if (rows_set) cfg.grid.rows = rows;
-  if (cols_set) cfg.grid.cols = cols;
-  if (mixed_lanes) cfg.micro.dedicated_turn_lanes = false;
-  if (threads_set) cfg.micro.threads = threads;
-  if (duration_set) cfg.duration_s = duration;
-  if (guard_set) {
-    cfg.guard.enabled = true;
-    cfg.guard.policy = guard.policy;
-  }
-  if (guard_interval_set) cfg.guard.interval_s = guard.interval_s;
-  if (detect_set) cfg.detector.enabled = true;
-  if (detect_adapt) cfg.detector.adapt = true;
+  apply_assignments(cfg);
 
-  if (incident_at >= 0.0) {
-    // Canned mixed incident starting at T, sized so every piece fires on any
-    // grid: a lane closure to 30% capacity on the top-right junction's north
-    // approach with restoration, dead detectors at the top-left junction, and
-    // a controller outage with recovery at the center junction.
-    const double t0 = incident_at;
-    faults.capacity.push_back(
+  if (incident_at) {
+    // Canned mixed incident at T, appended to the file's faults and sized so
+    // every piece fires on any grid: a lane closure to 30% capacity on the
+    // top-right junction's north approach with restoration, dead detectors at
+    // the top-left junction, and a controller outage at the center junction.
+    const double t0 = *incident_at;
+    cfg.faults.capacity.push_back(
         {{0, cfg.grid.cols - 1, net::Side::North}, t0, t0 + 300.0, 0.3});
-    faults.sensors.push_back(
+    cfg.faults.sensors.push_back(
         {{0, 0}, t0, t0 + 120.0, core::SensorFaultKind::Dropout, 0, 0});
-    faults.controllers.push_back(
+    cfg.faults.controllers.push_back(
         {{cfg.grid.rows / 2, cfg.grid.cols / 2}, t0, t0 + 180.0});
   }
-  // CLI faults append to (never replace) whatever the scenario file declares.
-  cfg.faults.capacity.insert(cfg.faults.capacity.end(), faults.capacity.begin(),
-                             faults.capacity.end());
-  cfg.faults.sensors.insert(cfg.faults.sensors.end(), faults.sensors.begin(),
-                            faults.sensors.end());
-  cfg.faults.controllers.insert(cfg.faults.controllers.end(),
-                                faults.controllers.begin(), faults.controllers.end());
 
   if (dump_scenario_flag) {
     try {
@@ -663,20 +534,21 @@ int main(int argc, char** argv) {
         std::printf("detections_total=%zu\n", detections_total);
       }
       if (!csv_prefix.empty()) {
-        std::ofstream out(csv_prefix + "_replications.csv");
-        CsvWriter w(out);
-        w.row({"seed", "status", "avg_queuing_s"});
-        for (std::size_t i = 0; i < statuses.size(); ++i) {
-          const exp::RunStatus& s = statuses[i];
-          const char* status_name = s.outcome == exp::RunStatus::Outcome::Ok ? "ok"
-                                    : s.outcome == exp::RunStatus::Outcome::Timeout
-                                        ? "timeout"
-                                        : "error";
-          w.typed_row(static_cast<unsigned long long>(cfg.seed + i), status_name,
-                      s.ok() || s.outcome == exp::RunStatus::Outcome::Timeout
-                          ? s.result.metrics.average_queuing_time_s()
-                          : 0.0);
-        }
+        const auto replications_csv = [&](CsvWriter& w) {
+          w.row({"seed", "status", "avg_queuing_s"});
+          for (std::size_t i = 0; i < statuses.size(); ++i) {
+            const exp::RunStatus& s = statuses[i];
+            const char* status_name = s.outcome == exp::RunStatus::Outcome::Ok ? "ok"
+                                      : s.outcome == exp::RunStatus::Outcome::Timeout
+                                          ? "timeout"
+                                          : "error";
+            w.typed_row(static_cast<unsigned long long>(cfg.seed + i), status_name,
+                        s.ok() || s.outcome == exp::RunStatus::Outcome::Timeout
+                            ? s.result.metrics.average_queuing_time_s()
+                            : 0.0);
+          }
+        };
+        if (!write_csv(csv_prefix + "_replications.csv", replications_csv)) return 1;
         std::printf("csv written: %s_replications.csv\n", csv_prefix.c_str());
       }
       if (errors > 0) return 1;
@@ -736,23 +608,23 @@ int main(int argc, char** argv) {
     }
 
     if (!csv_prefix.empty()) {
-      {
-        std::ofstream out(csv_prefix + "_queue.csv");
-        CsvWriter w(out);
+      const auto queue_csv = [&](CsvWriter& w) {
         w.row({"time_s", "queued_vehicles"});
         const auto& series = r.road_series.front();
         for (std::size_t i = 0; i < series.size(); ++i) {
           w.typed_row(series.times()[i], series.values()[i]);
         }
-      }
-      {
-        std::ofstream out(csv_prefix + "_phases.csv");
-        CsvWriter w(out);
+      };
+      const auto phases_csv = [&](CsvWriter& w) {
         w.row({"time_s", "phase"});
         for (const auto& s :
              r.phase_traces[static_cast<std::size_t>(cfg.grid.cols - 1)].samples()) {
           w.typed_row(s.time, s.phase);
         }
+      };
+      if (!write_csv(csv_prefix + "_queue.csv", queue_csv) ||
+          !write_csv(csv_prefix + "_phases.csv", phases_csv)) {
+        return 1;
       }
       std::printf("csv written: %s_queue.csv, %s_phases.csv\n", csv_prefix.c_str(),
                   csv_prefix.c_str());

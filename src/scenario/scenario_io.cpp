@@ -66,10 +66,11 @@ void describe(V& v, traffic::DemandConfig& d) {
   v.object("turning", d.turning);
   std::vector<traffic::ScheduleSegment> segments = d.schedule.segments();
   v.array("segments", segments);
-  // An empty array means "no schedule" — identical to the field being
-  // absent, so dumps of schedule-free configs round-trip.
+  // An empty array means "no schedule", so dumps of schedule-free configs
+  // round-trip and an overlay of "segments": [] clears a base's schedule.
   if constexpr (V::kLoads) {
-    if (!segments.empty()) d.schedule = traffic::DemandSchedule(std::move(segments));
+    d.schedule = segments.empty() ? traffic::DemandSchedule{}
+                                  : traffic::DemandSchedule(std::move(segments));
   }
 }
 
@@ -419,6 +420,23 @@ ScenarioConfig load_scenario_file(const std::string& file_path) {
   std::ostringstream text;
   text << in.rdbuf();
   return load_scenario(text.str());
+}
+
+void set_field(ScenarioConfig& config, std::string_view path, std::string_view value) {
+  json::Value patch = schema::parse_cli_value(value);
+  std::string_view rest = path;
+  for (std::size_t dot; (dot = rest.rfind('.')) != std::string_view::npos;
+       rest = rest.substr(0, dot)) {
+    json::Value outer = json::Value::object();
+    outer.set(std::string(rest.substr(dot + 1)), std::move(patch));
+    patch = std::move(outer);
+  }
+  json::Value doc = json::Value::object();
+  if (rest != "version") doc.set("version", json::Value::number(kScenarioSchemaVersion));
+  doc.set(std::string(rest), std::move(patch));
+  ScenarioConfig next = config;
+  schema::load_document(doc, next);
+  config = std::move(next);
 }
 
 std::string dump_scenario(const ScenarioConfig& config) {

@@ -133,6 +133,13 @@ inline constexpr Token<GuardPolicy> kGuardPolicyTokens[] = {
 // file cannot be opened.
 [[nodiscard]] ScenarioConfig load_scenario_file(const std::string& file_path);
 
+// Overlays one field as if loading {"version": ..., "a": {"b": value}} for the
+// dotted path "a.b": unknown keys, types and the checks of every object on the
+// path apply; an object value merges its keys, an array replaces the whole
+// array. `value` is JSON, or a bare string when it is not JSON (`III`). Throws
+// ScenarioIoError, leaving `config` unchanged. Backs abp_cli --set PATH=VALUE.
+void set_field(ScenarioConfig& config, std::string_view path, std::string_view value);
+
 // Serializes the full config (defaults included) in the canonical byte-stable
 // form. Throws ScenarioIoError for the unserializable programmatic-only
 // fields (custom PressureFn).

@@ -57,6 +57,15 @@ struct Path {
   fail(p, std::string("expected ") + expected + ", got " + v.type_name());
 }
 
+// A command-line value: JSON text, or a bare string when it is not JSON.
+inline json::Value parse_cli_value(std::string_view text) {
+  try {
+    return json::parse(text);
+  } catch (const json::ParseError&) {
+    return json::Value::string(std::string(text));
+  }
+}
+
 // --- Field formats ------------------------------------------------------------
 // read_value / write_value overloads, chosen by member type plus an optional
 // format argument: a token table for enums, kInfTime for times.

@@ -375,7 +375,8 @@ TEST(ScenarioIoTest, SchemaFieldPathsCoverTheKeyTables) {
 // Every schema path is read with its type: a wrong-typed value at any path
 // (in a document that sets nothing else) fails with that path's "expected
 // ..." error. `true` is the wrong type for every non-boolean field; a field
-// that accepts it must be a boolean, and rejects a string as one.
+// that accepts it must be a boolean, and rejects a string as one. set_field
+// on a path outside array elements fails with the same error.
 TEST(ScenarioIoTest, EveryFieldPathRejectsAWrongType) {
   const std::vector<std::string> paths = schema_field_paths();
   ASSERT_EQ(paths.size(), 136u);
@@ -404,6 +405,15 @@ TEST(ScenarioIoTest, EveryFieldPathRejectsAWrongType) {
       } catch (const ScenarioIoError& e) {
         EXPECT_EQ(std::string(e.what()).rfind(indexed + ": " + expected, 0), 0u)
             << e.what();
+        if (path.find("[]") == std::string::npos) {
+          ScenarioConfig cfg;
+          try {
+            set_field(cfg, path, value);
+            ADD_FAILURE() << "set_field accepted " << value;
+          } catch (const ScenarioIoError& s) {
+            EXPECT_EQ(std::string(s.what()), std::string(e.what()));
+          }
+        }
         return true;
       }
     };
@@ -411,6 +421,80 @@ TEST(ScenarioIoTest, EveryFieldPathRejectsAWrongType) {
       EXPECT_TRUE(attempt(R"("x")", "expected a boolean")) << "no wrong type rejected";
     }
   }
+}
+
+// The dump's lines that differ between two configs.
+std::vector<std::string> ChangedLines(const ScenarioConfig& a, const ScenarioConfig& b) {
+  std::istringstream x(dump_scenario(a)), y(dump_scenario(b));
+  std::vector<std::string> changed;
+  for (std::string lx, ly; std::getline(x, lx) && std::getline(y, ly);) {
+    if (lx != ly) changed.push_back(ly);
+  }
+  return changed;
+}
+
+// The error set_field throws, or "" when it succeeds.
+std::string SetFieldError(ScenarioConfig cfg, const std::string& path,
+                          const std::string& value) {
+  try {
+    set_field(cfg, path, value);
+    return "";
+  } catch (const ScenarioIoError& e) {
+    return e.what();
+  }
+}
+
+TEST(ScenarioIoTest, SetFieldOverlaysOntoABase) {
+  const ScenarioConfig base = paper_scenario(traffic::PatternKind::II,
+                                             core::ControllerType::UtilBp);
+
+  // A scalar changes its own line of the dump and nothing else.
+  ScenarioConfig cfg = base;
+  set_field(cfg, "grid.rows", "5");
+  EXPECT_EQ(ChangedLines(base, cfg), std::vector<std::string>{"    \"rows\": 5,"});
+
+  // A bare string is a string; so is quoted JSON.
+  set_field(cfg, "demand.pattern", "III");
+  EXPECT_EQ(cfg.demand.pattern, traffic::PatternKind::III);
+  set_field(cfg, "name", "\"run 7\"");
+  EXPECT_EQ(cfg.name, "run 7");
+
+  // An object merges its keys; the members it leaves out keep their values.
+  cfg = base;
+  set_field(cfg, "micro", R"({"dt_s": 2, "control_interval_s": 4})");
+  EXPECT_EQ(cfg.micro.dt_s, 2.0);
+  EXPECT_EQ(cfg.micro.control_interval_s, 4.0);
+  EXPECT_EQ(ChangedLines(base, cfg).size(), 2u);
+
+  // An array replaces the whole array: its elements start from defaults.
+  cfg = FullConfig();
+  ASSERT_EQ(cfg.demand.schedule.segments().size(), 2u);
+  set_field(cfg, "demand.segments", R"([{"duration_s": 60, "pattern": "III"}])");
+  ASSERT_EQ(cfg.demand.schedule.segments().size(), 1u);
+  EXPECT_EQ(cfg.demand.schedule.segments()[0].pattern, traffic::PatternKind::III);
+  EXPECT_EQ(cfg.demand.schedule.segments()[0].interarrival_scale, 1.0);
+  EXPECT_EQ(cfg.demand.interarrival_scale, 0.75);
+
+  // Errors are the loader's, and leave the config as it was.
+  EXPECT_EQ(SetFieldError(base, "grid.rowz", "3"), "grid.rowz: unknown key");
+  EXPECT_EQ(SetFieldError(base, "grid.rows", "0"), "grid.rows: must be >= 1");
+  EXPECT_EQ(SetFieldError(base, "micro.dt_s", "5"),
+            "micro.control_interval_s: must be >= dt_s");
+  EXPECT_EQ(SetFieldError(base, "seed", "-1"), "seed: must be a non-negative integer");
+  cfg = base;
+  EXPECT_THROW(set_field(cfg, "micro.dt_s", "5"), ScenarioIoError);
+  EXPECT_EQ(dump_scenario(cfg), dump_scenario(base));
+}
+
+// Overlaying an empty segment list clears the base's schedule, as a file
+// that never declared one would load.
+TEST(ScenarioIoTest, SetFieldEmptySegmentsClearTheSchedule) {
+  ScenarioConfig cfg =
+      load_scenario_file(std::string(ABP_SCENARIO_DIR) + "/rush_hour_ramp.json");
+  ASSERT_FALSE(cfg.demand.schedule.empty());
+  set_field(cfg, "demand.segments", "[]");
+  EXPECT_TRUE(cfg.demand.schedule.empty());
+  EXPECT_EQ(dump_scenario(load_scenario(dump_scenario(cfg))), dump_scenario(cfg));
 }
 
 }  // namespace
