@@ -32,10 +32,11 @@
 // failover) at T to the fault schedule; other faults come from the file or
 // `--set faults.sensors=[...]`. --guard enables the runtime invariant guard,
 // --detect the online changepoint detector (`--set detector.adapt=true` lets
-// detections re-tune the controllers). --tick-budget and --retries set the
-// experiment runner's per-run deadline and retries in --replications mode,
-// which reports per-seed statuses (ok / timeout / error) and summarizes the
-// runs that completed.
+// detections re-tune the controllers). --tick-budget sets the experiment
+// runner's per-run deadline in --replications mode, which reports per-seed
+// statuses (ok / timeout / error) and summarizes the runs that completed.
+// Configs built here (--incident, the sweep grid) get the scenario loader's
+// checks before any work starts; an error exits 2 naming the flag.
 //
 // Surrogate pipeline (docs/PERFORMANCE.md, "Surrogate throughput"):
 // --calibrate fits the queue backend to the micro backend for the merged
@@ -88,7 +89,7 @@ constexpr const char* kUsage =
     "usage: abp_cli [--scenario FILE] [--set PATH=VALUE]... [ALIAS]...\n"
     "               [--dump-scenario] [--print-schema-fields]\n"
     "               [--replications N] [--jobs N] [--allow-oversubscribe]\n"
-    "               [--csv PREFIX] [--incident T] [--tick-budget N] [--retries N]\n"
+    "               [--csv PREFIX] [--incident T] [--tick-budget N]\n"
     "               [--calibrate] [--surrogate-sweep] [--profile FILE]\n"
     "               [--report FILE] [--sweep-controllers LIST]\n"
     "               [--sweep-patterns LIST] [--sweep-periods LIST]\n"
@@ -153,6 +154,15 @@ T read_flag(const std::string& flag, const std::string& text, const Format&... f
   return x;
 }
 
+// A config built from `flag` must pass the scenario loader's checks.
+void check_config(const std::string& flag, const abp::scenario::ScenarioConfig& config) {
+  try {
+    abp::scenario::validate(config);
+  } catch (const ScenarioIoError& e) {
+    usage_error(flag + ": " + e.what());
+  }
+}
+
 std::vector<std::string> split_fields(const std::string& s) {
   std::vector<std::string> fields;
   std::size_t start = 0;
@@ -196,7 +206,6 @@ int main(int argc, char** argv) {
   int replications = 1;
   int jobs = 1;
   int tick_budget = 0;
-  int retries = 0;
   bool allow_oversubscribe = false;
   std::optional<double> incident_at;
   std::string csv_prefix;
@@ -234,8 +243,6 @@ int main(int argc, char** argv) {
       jobs = read_flag<int>(arg, value());
     } else if (arg == "--tick-budget") {
       tick_budget = read_flag<int>(arg, value());
-    } else if (arg == "--retries") {
-      retries = read_flag<int>(arg, value());
     } else if (arg == "--allow-oversubscribe") {
       allow_oversubscribe = true;
     } else if (arg == "--incident") {
@@ -319,9 +326,8 @@ int main(int argc, char** argv) {
     axes.periods_s.push_back(read_flag<double>("--sweep-periods", p));
   }
   if (tick_budget < 0) usage_error("--tick-budget must be >= 0");
-  if (retries < 0) usage_error("--retries must be >= 0");
-  if ((tick_budget > 0 || retries > 0) && replications == 1) {
-    usage_error("--tick-budget/--retries only apply to --replications batches");
+  if (tick_budget > 0 && replications == 1) {
+    usage_error("--tick-budget only applies to --replications batches");
   }
 
   // Base configuration: the scenario file when given, else the paper setup
@@ -364,15 +370,19 @@ int main(int argc, char** argv) {
         {{0, 0}, t0, t0 + 120.0, core::SensorFaultKind::Dropout, 0, 0});
     cfg.faults.controllers.push_back(
         {{cfg.grid.rows / 2, cfg.grid.cols / 2}, t0, t0 + 180.0});
+    check_config("--incident", cfg);
   }
 
   if (dump_scenario_flag) {
-    try {
-      std::fputs(scenario::dump_scenario(cfg).c_str(), stdout);
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "abp_cli: error: %s\n", e.what());
-      return 1;
+    std::fputs(scenario::dump_scenario(cfg).c_str(), stdout);
+    return 0;
+  }
+
+  if (sweep_mode) {
+    for (const surrogate::SweepPoint& point : surrogate::axis_points(axes)) {
+      scenario::ScenarioConfig point_cfg = cfg;
+      surrogate::apply_sweep_point(point_cfg, point);
+      check_config("--sweep-periods", point_cfg);
     }
   }
 
@@ -472,8 +482,7 @@ int main(int argc, char** argv) {
       // takes its siblings' results down with it.
       exp::ExperimentRunner runner({.jobs = jobs,
                                     .allow_oversubscribe = allow_oversubscribe,
-                                    .tick_budget = tick_budget,
-                                    .retries = retries});
+                                    .tick_budget = tick_budget});
       const std::vector<exp::RunStatus> statuses =
           runner.run_statuses(exp::replication_configs(cfg, replications));
       std::printf(
@@ -508,8 +517,7 @@ int main(int argc, char** argv) {
             guard_violations += s.result.guard.violations.size();
             break;
           case exp::RunStatus::Outcome::Error:
-            std::printf("seed=%llu status=error attempts=%d error=%s\n", run_seed,
-                        s.attempts, s.error.c_str());
+            std::printf("seed=%llu status=error error=%s\n", run_seed, s.error.c_str());
             errors += 1;
             break;
         }

@@ -6,8 +6,12 @@
 
 namespace abp::core {
 
-FixedSlotBpController::FixedSlotBpController(IntersectionPlan plan, FixedSlotBpConfig config)
-    : plan_(std::move(plan)), config_(config) {
+FixedSlotBpController::FixedSlotBpController(IntersectionPlan plan, FixedSlotBpConfig config,
+                                             FixedSlotRule rule, double pressure_capacity)
+    : plan_(std::move(plan)),
+      config_(config),
+      rule_(rule),
+      pressure_{config.pressure_kind, pressure_capacity} {
   if (!(config_.period_s > 0.0)) {
     throw std::invalid_argument("control period must be positive");
   }
@@ -16,6 +20,9 @@ FixedSlotBpController::FixedSlotBpController(IntersectionPlan plan, FixedSlotBpC
   }
   if (plan_.num_control_phases() < 1) {
     throw std::invalid_argument("fixed-slot BP needs at least one control phase");
+  }
+  if (!(pressure_capacity > 0.0)) {
+    throw std::invalid_argument("pressure capacity must be positive");
   }
 }
 
@@ -33,8 +40,8 @@ std::vector<double> FixedSlotBpController::link_weights(
   std::vector<double> weights;
   weights.reserve(obs.links.size());
   for (const LinkState& l : obs.links) {
-    if (config_.rule == FixedSlotRule::Original) {
-      weights.push_back(link_gain_original(l, config_.pressure));
+    if (rule_ == FixedSlotRule::Original) {
+      weights.push_back(link_gain_original(l, pressure_));
       continue;
     }
     // CAP-BP: occupancy-normalized pressures; a full downstream road yields
@@ -48,7 +55,7 @@ std::vector<double> FixedSlotBpController::link_weights(
     const double occupancy_out = static_cast<double>(l.downstream_queue) /
                                  static_cast<double>(std::max(l.downstream_capacity, 1));
     const double diff =
-        pressure(config_.pressure, occupancy_in) - pressure(config_.pressure, occupancy_out);
+        pressure(pressure_, occupancy_in) - pressure(pressure_, occupancy_out);
     weights.push_back(std::max(0.0, diff * l.service_rate));
   }
   return weights;

@@ -5,7 +5,8 @@
 
 namespace abp::core {
 
-UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config)
+UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config,
+                                   double pressure_capacity)
     : plan_(std::move(plan)), config_(config) {
   if (config_.alpha >= 0.0 || config_.beta >= 0.0) {
     throw std::invalid_argument("UTIL-BP requires negative alpha and beta sentinels");
@@ -16,9 +17,10 @@ UtilBpController::UtilBpController(IntersectionPlan plan, UtilBpConfig config)
   if (plan_.num_control_phases() < 1) {
     throw std::invalid_argument("UTIL-BP needs at least one control phase");
   }
-  gain_params_.alpha = config_.alpha;
-  gain_params_.beta = config_.beta;
-  gain_params_.pressure = config_.pressure;
+  if (!(pressure_capacity > 0.0)) {
+    throw std::invalid_argument("pressure capacity must be positive");
+  }
+  gain_params_ = {config_.alpha, config_.beta, {config_.pressure_kind, pressure_capacity}};
 }
 
 void UtilBpController::reset() {

@@ -42,20 +42,15 @@ struct UtilBpConfig {
   double amber_duration_s = 4.0;
   GStarPolicy gstar_policy = GStarPolicy::WStarMu;
   double gstar_constant = 0.0;
-  // Pressure mapping b = f(q), chosen by preset. The factory materializes
-  // any non-identity kind into `pressure` at construction time; this field
-  // (not the function) is what the declarative scenario layer serializes, so
-  // scenario files round-trip (docs/SCENARIOS.md).
+  // Pressure mapping b = f(q), chosen by preset (docs/SCENARIOS.md).
   PressureKind pressure_kind = PressureKind::Identity;
-  // Optional non-identity pressure mapping b = f(q). When set it wins over
-  // pressure_kind — programmatic API only: a config carrying a custom
-  // function cannot be dumped to a scenario file.
-  PressureFn pressure;
 };
 
 class UtilBpController final : public SignalController {
  public:
-  UtilBpController(IntersectionPlan plan, UtilBpConfig config);
+  // `pressure_capacity` is the W of the Normalized pressure preset.
+  UtilBpController(IntersectionPlan plan, UtilBpConfig config,
+                   double pressure_capacity = 120.0);
 
   [[nodiscard]] net::PhaseIndex decide(const IntersectionObservation& obs) override;
   void reset() override;

@@ -27,11 +27,14 @@ struct ControllerSpec {
   FixedTimeConfig fixed_time;
 };
 
-// Builds a controller of the requested type for one junction plan. A
-// non-identity UtilBpConfig/FixedSlotBpConfig::pressure_kind with no explicit
-// pressure function is materialized here via make_pressure;
-// `pressure_capacity` feeds the Normalized preset's q/W scaling (callers with
-// a network pass its largest road capacity — make_controllers does).
+// Largest road capacity of the network (120 for a road-free one): the W the
+// Normalized pressure preset scales by, mirroring Eq. (7)'s W* convention.
+[[nodiscard]] double max_road_capacity(const net::Network& network);
+
+// Builds a controller of the requested type for one junction plan; CAP-BP
+// and ORIG-BP are FixedSlotBpController's two rules. `pressure_capacity`
+// feeds the Normalized preset's q/W scaling (callers with a network pass
+// max_road_capacity — make_controllers does).
 [[nodiscard]] ControllerPtr make_controller(const ControllerSpec& spec, IntersectionPlan plan,
                                             double pressure_capacity = 120.0);
 

@@ -5,10 +5,6 @@
 
 namespace abp::core {
 
-double pressure(const PressureFn& fn, double queue) {
-  return fn ? fn(queue) : queue;
-}
-
 double wstar(const IntersectionObservation& obs) {
   double w = 0.0;
   for (const LinkState& l : obs.links) {
@@ -17,13 +13,13 @@ double wstar(const IntersectionObservation& obs) {
   return w;
 }
 
-double link_gain_original(const LinkState& link, const PressureFn& fn) {
-  const double diff = pressure(fn, link.upstream_total) - pressure(fn, link.downstream_queue);
+double link_gain_original(const LinkState& link, const Pressure& p) {
+  const double diff = pressure(p, link.upstream_total) - pressure(p, link.downstream_queue);
   return std::max(0.0, diff * link.service_rate);
 }
 
-double link_gain_modified(const LinkState& link, double wstar_value, const PressureFn& fn) {
-  const double diff = pressure(fn, link.queue) - pressure(fn, link.downstream_queue);
+double link_gain_modified(const LinkState& link, double wstar_value, const Pressure& p) {
+  const double diff = pressure(p, link.queue) - pressure(p, link.downstream_queue);
   return (diff + wstar_value) * link.service_rate;
 }
 

@@ -1,7 +1,7 @@
 // Link-gain metrics: the decision quantities of back-pressure signal control.
 //
 // Implements, in one place tested against the paper's equations:
-//   Eq. (4)  b = f(q), the pressure mapping (identity by default),
+//   Eq. (4)  b = f(q), the pressure mapping (pressure_presets.hpp),
 //   Eq. (5)  the original link gain  g_o = max(0, (b_i - b_{i'}) mu),
 //   Eq. (6)  the modified link gain  g = (b_i^{i'} - b_{i'} + W*) mu,
 //   Eq. (7)  W* = max_{i' in N_O} W_{i'},
@@ -11,17 +11,13 @@
 //   Eq. (11) gmax(c_j,k) = max of constituent link gains.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "src/core/observation.hpp"
+#include "src/core/pressure_presets.hpp"
 
 namespace abp::core {
-
-// Pressure mapping b = f(q). Identity when empty (the paper's choice, Eq. 4);
-// any non-decreasing mapping may be supplied for experimentation.
-using PressureFn = std::function<double(double)>;
 
 // Parameters of the utilization-aware gain (Eq. 8/9).
 struct GainParams {
@@ -33,23 +29,20 @@ struct GainParams {
   // nothing at all. The paper recommends beta < alpha < 0, but allows the
   // traffic authority to invert the order; we only require both negative.
   double beta = -2.0;
-  // Pressure mapping; identity when not set.
-  PressureFn pressure;
+  // Pressure mapping b = f(q); identity (the paper's choice) by default.
+  Pressure pressure;
 };
-
-// Applies the pressure mapping (identity when fn is empty).
-[[nodiscard]] double pressure(const PressureFn& fn, double queue);
 
 // Eq. (7): the largest outgoing-road capacity observable at the junction.
 [[nodiscard]] double wstar(const IntersectionObservation& obs);
 
 // Eq. (5): original back-pressure gain; uses the *total* incoming queue.
-[[nodiscard]] double link_gain_original(const LinkState& link, const PressureFn& fn = {});
+[[nodiscard]] double link_gain_original(const LinkState& link, const Pressure& p = {});
 
 // Eq. (6): modified gain; per-lane incoming queue, shifted by W* so that
 // negative pressure differences still compete for service.
 [[nodiscard]] double link_gain_modified(const LinkState& link, double wstar_value,
-                                        const PressureFn& fn = {});
+                                        const Pressure& p = {});
 
 // Eq. (8): utilization-aware gain with the full/empty sentinels.
 [[nodiscard]] double link_gain_util(const LinkState& link, double wstar_value,

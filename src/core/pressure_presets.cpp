@@ -1,8 +1,5 @@
 #include "src/core/pressure_presets.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
 namespace abp::core {
 
 std::string pressure_kind_name(PressureKind kind) {
@@ -17,23 +14,6 @@ std::string pressure_kind_name(PressureKind kind) {
       return "normalized";
   }
   return "?";
-}
-
-PressureFn make_pressure(PressureKind kind, double capacity) {
-  switch (kind) {
-    case PressureKind::Identity:
-      return {};
-    case PressureKind::Sqrt:
-      return [](double q) { return std::sqrt(std::max(0.0, q)); };
-    case PressureKind::Quadratic:
-      return [](double q) { return q * q; };
-    case PressureKind::Normalized:
-      if (capacity <= 0.0) {
-        throw std::invalid_argument("normalized pressure needs a positive capacity");
-      }
-      return [capacity](double q) { return q / capacity; };
-  }
-  throw std::invalid_argument("unknown pressure kind");
 }
 
 }  // namespace abp::core

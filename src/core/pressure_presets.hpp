@@ -11,9 +11,9 @@
 //                uses internally.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <string>
-
-#include "src/core/gain.hpp"
 
 namespace abp::core {
 
@@ -21,8 +21,27 @@ enum class PressureKind { Identity, Sqrt, Quadratic, Normalized };
 
 [[nodiscard]] std::string pressure_kind_name(PressureKind kind);
 
-// Builds the mapping. `capacity` is only used by Normalized (must be > 0).
-// Identity returns an empty function (the gain code's fast path).
-[[nodiscard]] PressureFn make_pressure(PressureKind kind, double capacity = 120.0);
+// One preset mapping. `capacity` is the W that Normalized divides by (the
+// factory passes the network's largest road capacity); the other presets
+// ignore it.
+struct Pressure {
+  PressureKind kind = PressureKind::Identity;
+  double capacity = 120.0;
+};
+
+// b = f(q) under the preset. Inline: it runs per link on every decision.
+[[nodiscard]] inline double pressure(const Pressure& p, double queue) {
+  switch (p.kind) {
+    case PressureKind::Identity:
+      return queue;
+    case PressureKind::Sqrt:
+      return std::sqrt(std::max(0.0, queue));
+    case PressureKind::Quadratic:
+      return queue * queue;
+    case PressureKind::Normalized:
+      return queue / p.capacity;
+  }
+  return queue;
+}
 
 }  // namespace abp::core

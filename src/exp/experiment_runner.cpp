@@ -34,9 +34,6 @@ ExperimentRunner::ExperimentRunner(BatchOptions options) : options_(options) {
   if (options_.tick_budget < 0) {
     throw std::invalid_argument("ExperimentRunner needs tick_budget >= 0");
   }
-  if (options_.retries < 0) {
-    throw std::invalid_argument("ExperimentRunner needs retries >= 0");
-  }
   pool_ = std::make_unique<ThreadPool>(options_.jobs);
 }
 
@@ -57,34 +54,24 @@ RunStatus ExperimentRunner::execute_one(const scenario::ScenarioConfig& config) 
   }
 
   RunStatus status;
-  for (int attempt = 0;; ++attempt) {
-    status.attempts = attempt + 1;
-    try {
-      status.result = sim::make_simulator(config)->finish(horizon_s);
-      if (truncated) {
-        status.outcome = RunStatus::Outcome::Timeout;
-        status.error = "tick budget " + std::to_string(options_.tick_budget) +
-                       " exhausted at t=" + std::to_string(horizon_s) +
-                       "s of " + std::to_string(config.duration_s) + "s";
-      } else {
-        status.outcome = RunStatus::Outcome::Ok;
-        status.error.clear();
-      }
-      status.exception = nullptr;
-      return status;
-    } catch (const std::exception& e) {
-      status.outcome = RunStatus::Outcome::Error;
-      status.error = e.what();
-      status.exception = std::current_exception();
-      status.result = {};
-    } catch (...) {
-      status.outcome = RunStatus::Outcome::Error;
-      status.error = "unknown exception";
-      status.exception = std::current_exception();
-      status.result = {};
+  try {
+    status.result = sim::make_simulator(config)->finish(horizon_s);
+    if (truncated) {
+      status.outcome = RunStatus::Outcome::Timeout;
+      status.error = "tick budget " + std::to_string(options_.tick_budget) +
+                     " exhausted at t=" + std::to_string(horizon_s) + "s of " +
+                     std::to_string(config.duration_s) + "s";
     }
-    if (attempt >= options_.retries) return status;
+  } catch (const std::exception& e) {
+    status.outcome = RunStatus::Outcome::Error;
+    status.error = e.what();
+    status.exception = std::current_exception();
+  } catch (...) {
+    status.outcome = RunStatus::Outcome::Error;
+    status.error = "unknown exception";
+    status.exception = std::current_exception();
   }
+  return status;
 }
 
 std::vector<RunStatus> ExperimentRunner::run_statuses(

@@ -19,7 +19,8 @@
 // results to one bad run. run_statuses() captures each run's outcome into a
 // per-run RunStatus — result, error (exception captured, batch always
 // drains) or timeout (deterministic tick-budget deadline, partial result
-// kept) — with optional same-seed retries. run() stays the thin throwing
+// kept). A run is a pure function of its config, so a failed run is never
+// retried: it would fail the same way. run() stays the thin throwing
 // wrapper over it for callers that want the historical all-or-nothing
 // contract. See docs/ROBUSTNESS.md, "ExperimentRunner failure policy".
 //
@@ -56,10 +57,6 @@ struct BatchOptions {
   // statuses stay a pure function of the configs, so batches keep their
   // bit-identical-at-every-jobs-count guarantee.
   long long tick_budget = 0;
-  // Extra same-config, same-seed attempts after a run raises an exception
-  // (0 = fail fast). Timeouts are deterministic truncations, not failures,
-  // and are never retried.
-  int retries = 0;
 };
 
 // Largest jobs count that keeps jobs x tick_threads within the machine's
@@ -80,8 +77,8 @@ struct RunStatus {
   enum class Outcome {
     // Ran to its configured duration; `result` is complete.
     Ok,
-    // Every attempt raised; `error` carries the last attempt's message and
-    // `exception` the exception itself, `result` is empty.
+    // The run raised; `error` carries its message and `exception` the
+    // exception itself, `result` is empty.
     Error,
     // Hit the tick budget; `result` holds the partial run up to the budget
     // (bit-identical to a run configured with the truncated duration).
@@ -92,8 +89,6 @@ struct RunStatus {
   stats::RunResult result;
   std::string error;
   std::exception_ptr exception;
-  // Attempts consumed (1 + retries used).
-  int attempts = 1;
 
   [[nodiscard]] bool ok() const noexcept { return outcome == Outcome::Ok; }
 };

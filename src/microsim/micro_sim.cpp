@@ -543,7 +543,7 @@ void MicroSim::sweep_roads() {
   // cache here, so observe() never needs a separate scan. The predicate is
   // bit-identical to next step's control check (same addition, same compare).
   memo_pending_ = now_ + config_.dt_s >= next_control_;
-  if (memo_pending_ && config_.memo_always_rebuild) {
+  if (memo_pending_ && memo_always_rebuild_) {
     // Reference path: global zero of every memo row before the rebuild. The
     // default path below instead zeroes rows per road, lazily — a row is
     // cleared only when its road is occupied this tick (about to be

@@ -122,6 +122,12 @@ class MicroSim {
   void step_service();
   void step_finish();
 
+  // Reference knob: zero every memo-table row globally before each rebuild
+  // instead of the default per-road lazy zeroing. Both paths are pinned
+  // bit-identical by tests/memo_elision_test.cpp; this exists for that pin
+  // and for bisecting.
+  void set_memo_always_rebuild(bool on) { memo_always_rebuild_ = on; }
+
  private:
   enum class Loc { Outside, Lane, Junction, Done };
 
@@ -320,6 +326,7 @@ class MicroSim {
   // work unit writes its own byte without atomics.
   std::vector<char> memo_dirty_;
   bool memo_pending_ = false;
+  bool memo_always_rebuild_ = false;
   // Per-entry-road admission scratch, sized to the widest road once.
   std::vector<char> lane_blocked_;
   // Reused per-tick spawn buffer filled by DemandGenerator::poll_into.

@@ -73,13 +73,6 @@ struct MicroSimConfig {
   // by default; bench_sensor_noise sweeps it.
   core::SensorModel sensor;
   VehicleParams vehicle;
-  // Debug/reference knob: force the pre-elision memo-table path that zeroes
-  // every road/link row globally before each rebuild, instead of the default
-  // per-road lazy path (zero only rows of roads that are occupied or still
-  // dirty from an earlier rebuild). The two paths are pinned bit-identical
-  // by tests/memo_elision_test.cpp; this flag exists for that pin and for
-  // bisecting, not for scenarios (scenario_io does not serialize it).
-  bool memo_always_rebuild = false;
 };
 
 }  // namespace abp::microsim

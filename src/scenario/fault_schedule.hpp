@@ -13,6 +13,9 @@
 // phase of the tick, so fixed-seed runs with a nonempty schedule remain
 // bit-identical at every thread count; an empty schedule leaves the run
 // bit-identical to a build without the subsystem (see docs/ROBUSTNESS.md).
+// The schema checks values (non-negative times, start < end, factors in
+// [0, 1], no overlapping sensor windows at one junction): see
+// scenario::validate().
 #pragma once
 
 #include <limits>
@@ -80,13 +83,6 @@ struct FaultSchedule {
   }
 };
 
-// Value-level validation: non-negative times, start < end, factors in [0, 1],
-// and no overlapping sensor windows at the same junction (the decorator
-// resolves ties by order, but an overlap is almost always a config bug).
-// Grid-reference resolution errors surface later, from make_simulator().
-// Throws std::invalid_argument.
-void validate_or_throw(const FaultSchedule& schedule);
-
 // --- Runtime invariant guard -------------------------------------------
 // Opt-in per-run checking of the cross-backend invariants (conservation,
 // capacity bounds — the cross_sim_invariants_test checks, compiled into
@@ -106,7 +102,7 @@ struct GuardConfig {
   bool enabled = false;
   GuardPolicy policy = GuardPolicy::Throw;
   // Simulated seconds between checks; 1.0 = every tick of the default
-  // backends. Must be positive when enabled.
+  // backends. Must be positive.
   double interval_s = 1.0;
 };
 

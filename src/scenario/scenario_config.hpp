@@ -1,7 +1,9 @@
 // Scenario description: everything needed to construct and run one simulation.
 //
 // A ScenarioConfig bundles the network (grid), demand (pattern), controller
-// policy and simulator choice. It is a pure value type — the construction
+// policy and simulator choice. Every field has a scenario-file form, and the
+// file schema's checks (scenario::validate) apply to configs built in code
+// too: make_simulator() runs them. It is a pure value type — the construction
 // machinery lives behind abp::sim::make_simulator() (src/sim/simulator.hpp),
 // and the one-call experiment entry points (run_scenario, run_replications,
 // paper_scenario) in src/scenario/scenario.hpp. Split out of scenario.hpp so
@@ -90,7 +92,7 @@ struct ScenarioConfig {
   queuesim::QueueSimConfig queue;
   std::vector<WatchSpec> watches;
   // Timed incidents executed during the run (empty = fault-free, zero
-  // hot-path cost). Validated by make_simulator(); see fault_schedule.hpp.
+  // hot-path cost). See fault_schedule.hpp.
   FaultSchedule faults;
   // Opt-in runtime invariant guard (sim::SimulatorGuard).
   GuardConfig guard;

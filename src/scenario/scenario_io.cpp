@@ -69,26 +69,10 @@ void describe(V& v, traffic::DemandConfig& d) {
   // An empty array means "no schedule", so dumps of schedule-free configs
   // round-trip and an overlay of "segments": [] clears a base's schedule.
   if constexpr (V::kLoads) {
+    if (!v.has(segments)) return;
     d.schedule = segments.empty() ? traffic::DemandSchedule{}
                                   : traffic::DemandSchedule(std::move(segments));
   }
-}
-
-// Field format of a controller's pressure preset. A custom PressureFn
-// (programmatic API only) overrides the preset and has no file form.
-struct Pressure {
-  const core::PressureFn& custom;
-};
-
-void read_value(const json::Value& v, const Path& p, core::PressureKind& x, Pressure) {
-  read_value(v, p, x, kPressureTokens);
-}
-
-json::Value write_value(const Path& p, core::PressureKind x, Pressure format) {
-  if (format.custom) {
-    fail(p, "a custom pressure function cannot be serialized; use the pressure preset");
-  }
-  return write_value(p, x, kPressureTokens);
 }
 
 template <class V>
@@ -98,7 +82,7 @@ void describe(V& v, core::UtilBpConfig& u) {
   v.field("amber_duration_s", u.amber_duration_s);
   v.field("gstar_policy", u.gstar_policy, kGStarTokens);
   v.field("gstar_constant", u.gstar_constant);
-  v.field("pressure", u.pressure_kind, Pressure{u.pressure});
+  v.field("pressure", u.pressure_kind, kPressureTokens);
   v.check(u.alpha < 0.0, u.alpha, "must be < 0");
   v.check(u.beta < 0.0, u.beta, "must be < 0");
   v.check(u.amber_duration_s >= 0.0, u.amber_duration_s, "must be >= 0");
@@ -109,7 +93,7 @@ void describe(V& v, core::FixedSlotBpConfig& s) {
   v.field("period_s", s.period_s);
   v.field("amber_duration_s", s.amber_duration_s);
   v.field("work_conserving", s.work_conserving);
-  v.field("pressure", s.pressure_kind, Pressure{s.pressure});
+  v.field("pressure", s.pressure_kind, kPressureTokens);
   v.check(s.period_s > 0.0, s.period_s, "must be > 0");
   v.check(s.amber_duration_s >= 0.0 && s.amber_duration_s < s.period_s,
           s.amber_duration_s, "must be in [0, period_s)");
@@ -279,7 +263,8 @@ template <class V>
 void describe(V& v, FaultSchedule& f) {
   v.array("capacity", f.capacity);
   v.array("sensors", f.sensors);
-  // Same rule fault_schedule.cpp enforces, with the file's field paths.
+  // Overlapping windows at one junction would make "which fault is active"
+  // order-dependent.
   if constexpr (V::kLoads) {
     for (std::size_t j = 0; j < f.sensors.size(); ++j) {
       for (std::size_t i = 0; i < j; ++i) {
@@ -420,6 +405,11 @@ ScenarioConfig load_scenario_file(const std::string& file_path) {
   std::ostringstream text;
   text << in.rdbuf();
   return load_scenario(text.str());
+}
+
+void validate(const ScenarioConfig& config) {
+  // Loader without a document only reads the config, so the cast is safe.
+  schema::check_all(const_cast<ScenarioConfig&>(config), schema::Path{});
 }
 
 void set_field(ScenarioConfig& config, std::string_view path, std::string_view value) {

@@ -20,8 +20,12 @@
 // Round-trip contract: dump_scenario() writes every field in a fixed order
 // and canonical number form (shortest round-trip doubles, exact 64-bit
 // integers, infinity as "inf"), so load(dump(c)) == c field-for-field and
-// dump(load(dump(c))) == dump(c) byte-for-byte. A config carrying a custom
-// PressureFn (programmatic API only) cannot be dumped.
+// dump(load(dump(c))) == dump(c) byte-for-byte. Every ScenarioConfig field
+// has a file form, so any config can be dumped.
+//
+// Validation contract: validate(c) runs exactly the checks load_scenario()
+// runs, in the same order, so for a config built in code it throws what
+// load_scenario(dump_scenario(c)) throws. sim::make_simulator() calls it.
 #pragma once
 
 #include <cstddef>
@@ -133,6 +137,12 @@ inline constexpr Token<GuardPolicy> kGuardPolicyTokens[] = {
 // file cannot be opened.
 [[nodiscard]] ScenarioConfig load_scenario_file(const std::string& file_path);
 
+// Runs every schema check on `config` as it stands, in load order, without
+// modifying it. Throws the ScenarioIoError load_scenario would throw for the
+// config's dump (range checks, overlapping sensor windows, duplicate
+// overrides). Grid references are resolved later, by make_simulator().
+void validate(const ScenarioConfig& config);
+
 // Overlays one field as if loading {"version": ..., "a": {"b": value}} for the
 // dotted path "a.b": unknown keys, types and the checks of every object on the
 // path apply; an object value merges its keys, an array replaces the whole
@@ -141,8 +151,7 @@ inline constexpr Token<GuardPolicy> kGuardPolicyTokens[] = {
 void set_field(ScenarioConfig& config, std::string_view path, std::string_view value);
 
 // Serializes the full config (defaults included) in the canonical byte-stable
-// form. Throws ScenarioIoError for the unserializable programmatic-only
-// fields (custom PressureFn).
+// form.
 [[nodiscard]] std::string dump_scenario(const ScenarioConfig& config);
 
 // Every dotted field path of the schema, in document order — array-valued

@@ -11,6 +11,8 @@
 // load() rejects unknown keys before reading any value, overlays the keys
 // present onto the target and runs the checks in order, throwing
 // ScenarioIoError "<dotted.path>: <problem>" (path text is built only then).
+// check_all() runs the same checks on a target as it stands, without a
+// document, and never writes to it.
 // dump() writes every member in describe() order. list_paths() emits an
 // object's own key paths, then its children's. Code for some visitors only
 // (cross-element rules, retired keys that are never dumped) sits under
@@ -181,30 +183,39 @@ struct NoChecks {
 
 template <class T>
 void load(const json::Value& v, const Path& p, T& x);
+template <class T>
+void check_all(T& x, const Path& p);
 
+// Reads the object `obj` into the target, or with no document (null `obj`)
+// only runs the target's checks, recursing into every object and element.
 class Loader {
  public:
   static constexpr bool kLoads = true;
   static constexpr bool kDumps = false;
 
-  Loader(const json::Value& obj, const Path& path) : obj_(obj), path_(path) {}
+  Loader(const json::Value* obj, const Path& path) : obj_(obj), path_(path) {}
 
   template <class T, class... Format>
   void field(std::string_view key, T& x, const Format&... format) {
     note(x, key);
-    if (const json::Value* f = obj_.find(key)) read_value(*f, at(key), x, format...);
+    if (const json::Value* f = find(key)) read_value(*f, at(key), x, format...);
   }
   template <class T>
   void object(std::string_view key, T& x, List = List::All) {
     note(x, key);
-    if (const json::Value* f = obj_.find(key)) load(*f, at(key), x);
+    if (obj_ == nullptr) return check_all(x, at(key));
+    if (const json::Value* f = find(key)) load(*f, at(key), x);
   }
   template <class T>
   void array(std::string_view key, std::vector<T>& xs, const T& proto = T{}) {
     note(xs, key);
-    const json::Value* f = obj_.find(key);
-    if (f == nullptr) return;
     const Path p = at(key);
+    if (obj_ == nullptr) {
+      for (std::size_t i = 0; i < xs.size(); ++i) check_all(xs[i], Path{&p, {}, i});
+      return;
+    }
+    const json::Value* f = find(key);
+    if (f == nullptr) return;
     if (!f->is_array()) wrong_type(p, "an array", *f);
     xs.assign(f->items().size(), proto);
     for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -220,9 +231,14 @@ class Loader {
   void check(bool ok, std::string_view problem) const {
     if (!ok) fail(path_, std::string(problem));
   }
+  // Whether the document names `member`; never true without a document.
+  template <class M>
+  [[nodiscard]] bool has(const M& member) const {
+    return find(key_of(member)) != nullptr;
+  }
   template <class M>
   void require(const M& member) const {
-    check(obj_.find(key_of(member)) != nullptr, member, "required field is missing");
+    if (obj_ != nullptr) check(has(member), member, "required field is missing");
   }
   // Path text of element `index` of the array `member`.
   template <class T>
@@ -254,8 +270,11 @@ class Loader {
     return {};
   }
   [[nodiscard]] Path at(std::string_view key) const { return Path{&path_, key}; }
+  [[nodiscard]] const json::Value* find(std::string_view key) const {
+    return obj_ != nullptr ? obj_->find(key) : nullptr;
+  }
 
-  const json::Value& obj_;
+  const json::Value* obj_;
   const Path& path_;
   Named named_[kMaxKeys] = {};
   int count_ = 0;
@@ -301,7 +320,13 @@ void load(const json::Value& v, const Path& p, T& x) {
   for (std::size_t i = 0; i < n; ++i) {
     if ((known >> i & 1) == 0) fail(Path{&p, members[i].first}, "unknown key");
   }
-  Loader loader(v, p);
+  Loader loader(&v, p);
+  describe(loader, x);
+}
+
+template <class T>
+void check_all(T& x, const Path& p) {
+  Loader loader(nullptr, p);
   describe(loader, x);
 }
 

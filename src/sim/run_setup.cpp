@@ -114,36 +114,28 @@ RoadId resolve_watch(const net::Network& network, const scenario::WatchSpec& w) 
 std::vector<core::ControllerPtr> make_run_controllers(
     const scenario::ScenarioConfig& config, const net::Network& network,
     std::vector<const core::AdaptiveController*>* monitors) {
+  // Stamp each junction from its effective spec (resolve_node throws on
+  // out-of-grid overrides).
   std::vector<core::ControllerPtr> controllers;
-  if (config.controller_overrides.empty() && !config.detector.enabled) {
-    controllers = core::make_controllers(config.controller, network);
-  } else {
-    // Validate every override (resolve_node throws on out-of-grid nodes) and
-    // stamp each junction from its effective spec.
-    controllers.reserve(network.intersections().size());
-    double cap = 0.0;
-    for (const net::Road& road : network.roads()) {
-      cap = std::max(cap, static_cast<double>(road.capacity));
-    }
-    for (const net::Intersection& node : network.intersections()) {
-      const core::ControllerSpec& spec = effective_spec(config, network, node.id);
-      core::ControllerPtr controller =
-          core::make_controller(spec, core::make_plan(network, node), cap);
-      if (config.detector.enabled) {
-        core::ControllerPtr tuned;
-        if (const auto tuned_spec = retuned_spec(spec)) {
-          tuned = core::make_controller(*tuned_spec, core::make_plan(network, node), cap);
-        }
-        auto adaptive = std::make_unique<core::AdaptiveController>(
-            std::move(controller), std::move(tuned),
-            detect::JunctionMonitor(config.detector,
-                                    static_cast<int>(node.links.size()),
-                                    node.grid_row, node.grid_col));
-        if (monitors != nullptr) monitors->push_back(adaptive.get());
-        controller = std::move(adaptive);
+  controllers.reserve(network.intersections().size());
+  const double cap = core::max_road_capacity(network);
+  for (const net::Intersection& node : network.intersections()) {
+    const core::ControllerSpec& spec = effective_spec(config, network, node.id);
+    core::ControllerPtr controller =
+        core::make_controller(spec, core::make_plan(network, node), cap);
+    if (config.detector.enabled) {
+      core::ControllerPtr tuned;
+      if (const auto tuned_spec = retuned_spec(spec)) {
+        tuned = core::make_controller(*tuned_spec, core::make_plan(network, node), cap);
       }
-      controllers.push_back(std::move(controller));
+      auto adaptive = std::make_unique<core::AdaptiveController>(
+          std::move(controller), std::move(tuned),
+          detect::JunctionMonitor(config.detector, static_cast<int>(node.links.size()),
+                                  node.grid_row, node.grid_col));
+      if (monitors != nullptr) monitors->push_back(adaptive.get());
+      controller = std::move(adaptive);
     }
+    controllers.push_back(std::move(controller));
   }
   if (config.faults.sensors.empty() && config.faults.controllers.empty()) {
     return controllers;

@@ -1,19 +1,14 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "src/core/adaptive_controller.hpp"
-#include "src/core/factory.hpp"
-#include "src/core/fault_controller.hpp"
 #include "src/microsim/micro_sim.hpp"
-#include "src/net/grid.hpp"
-#include "src/net/validation.hpp"
 #include "src/queuesim/queue_sim.hpp"
+#include "src/scenario/scenario_io.hpp"
 #include "src/sim/run_setup.hpp"
 #include "src/sim/simulator_guard.hpp"
 
@@ -44,9 +39,6 @@ class BackendSimulator final : public Simulator {
             make_run_controllers(config, network_, &adaptive_))),
         events_(build_capacity_events(config, network_)) {
     if (config.guard.enabled) {
-      if (!(config.guard.interval_s > 0.0)) {
-        throw std::invalid_argument("guard interval must be positive");
-      }
       guard_.emplace(config.guard.policy);
       guard_interval_s_ = config.guard.interval_s;
       next_guard_s_ = guard_interval_s_;
@@ -152,32 +144,7 @@ class BackendSimulator final : public Simulator {
 }  // namespace
 
 std::unique_ptr<Simulator> make_simulator(const scenario::ScenarioConfig& config) {
-  scenario::validate_or_throw(config.faults);
-  if (config.detector.enabled) {
-    const detect::DetectorConfig& d = config.detector;
-    if (d.window_samples < 1) {
-      throw std::invalid_argument("detector window_samples must be at least 1");
-    }
-    if (d.warmup_samples < 1) {
-      throw std::invalid_argument("detector warmup_samples must be at least 1");
-    }
-    if (!(d.drift >= 0.0)) throw std::invalid_argument("detector drift must be >= 0");
-    if (!(d.threshold > 0.0)) {
-      throw std::invalid_argument("detector threshold must be positive");
-    }
-    if (!(d.min_sigma > 0.0)) {
-      throw std::invalid_argument("detector min_sigma must be positive");
-    }
-    if (d.min_links < 1) {
-      throw std::invalid_argument("detector min_links must be at least 1");
-    }
-    if (!(d.fuse_window_s > 0.0)) {
-      throw std::invalid_argument("detector fuse_window_s must be positive");
-    }
-    if (!(d.cooldown_s >= 0.0)) {
-      throw std::invalid_argument("detector cooldown_s must be >= 0");
-    }
-  }
+  scenario::validate(config);
   std::unique_ptr<Simulator> sim;
   if (config.simulator == scenario::SimulatorKind::Micro) {
     sim = std::make_unique<BackendSimulator<microsim::MicroSim>>(config);

@@ -62,11 +62,12 @@ class Simulator {
 // (validated), demand generator, one controller per intersection (wrapped in
 // core::FaultInjectedController where the fault schedule names the
 // junction), resolved watches, capacity-fault events and the opt-in runtime
-// invariant guard — all owned by the returned object. Throws
-// std::invalid_argument on unresolvable watches / fault references and on
-// invalid fault schedules or guard configs, and std::runtime_error on
-// network validation failures, like run_scenario() always has. See
-// docs/ROBUSTNESS.md for the fault-execution model.
+// invariant guard — all owned by the returned object. First runs
+// scenario::validate(config), the scenario loader's own checks, so a config
+// built in code fails with the ScenarioIoError its scenario file would (an
+// std::invalid_argument). Then throws std::invalid_argument on unresolvable
+// watches / fault / override references, and std::runtime_error on network
+// validation failures. See docs/ROBUSTNESS.md for the fault-execution model.
 [[nodiscard]] std::unique_ptr<Simulator> make_simulator(
     const scenario::ScenarioConfig& config);
 

@@ -27,9 +27,10 @@ TEST(Pressure, IdentityByDefault) {
   EXPECT_DOUBLE_EQ(pressure({}, 0.0), 0.0);
 }
 
-TEST(Pressure, CustomFunctionApplies) {
-  const PressureFn sq = [](double q) { return q * q; };
-  EXPECT_DOUBLE_EQ(pressure(sq, 3.0), 9.0);
+TEST(Pressure, PresetsApply) {
+  EXPECT_DOUBLE_EQ(pressure({PressureKind::Quadratic}, 3.0), 9.0);
+  EXPECT_DOUBLE_EQ(pressure({PressureKind::Sqrt}, 9.0), 3.0);
+  EXPECT_DOUBLE_EQ(pressure({PressureKind::Normalized, 40.0}, 10.0), 0.25);
 }
 
 TEST(WStar, TakesMaxDownstreamCapacity) {

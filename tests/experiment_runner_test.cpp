@@ -160,7 +160,7 @@ TEST(ExperimentRunner, MaxSafeJobsRespectsTickThreads) {
   EXPECT_GE(exp::max_safe_jobs(2 * static_cast<int>(hc)), 1);
 }
 
-// --- Failure isolation: per-run statuses, retries, deterministic timeouts ---
+// --- Failure isolation: per-run statuses, deterministic timeouts ---
 
 scenario::ScenarioConfig quick_queue_config(std::uint64_t seed, double duration_s) {
   scenario::ScenarioConfig cfg =
@@ -240,27 +240,8 @@ TEST(ExperimentRunner, TimeoutPartialResultMatchesTruncatedRunBitForBit) {
   expect_identical(statuses[0].result.metrics, truncated.metrics);
 }
 
-TEST(ExperimentRunner, RetriesApplyToErrorsButNeverToTimeouts) {
-  exp::ExperimentRunner runner(
-      {.jobs = 1, .tick_budget = 30, .retries = 2});
-  const std::vector<exp::RunStatus> statuses = runner.run_statuses(
-      {throwing_config(), quick_queue_config(11, 900.0), quick_queue_config(12, 20.0)});
-  ASSERT_EQ(statuses.size(), 3u);
-  // Deterministic construction failure: all attempts consumed, still Error.
-  EXPECT_EQ(statuses[0].outcome, exp::RunStatus::Outcome::Error);
-  EXPECT_EQ(statuses[0].attempts, 3);
-  // Timeout is a deterministic truncation — retrying it would just burn the
-  // budget again, so it is reported on the first attempt.
-  EXPECT_EQ(statuses[1].outcome, exp::RunStatus::Outcome::Timeout);
-  EXPECT_EQ(statuses[1].attempts, 1);
-  // Healthy run: one attempt.
-  EXPECT_EQ(statuses[2].outcome, exp::RunStatus::Outcome::Ok);
-  EXPECT_EQ(statuses[2].attempts, 1);
-}
-
-TEST(ExperimentRunner, RejectsNegativeBudgetAndRetries) {
+TEST(ExperimentRunner, RejectsNegativeBudget) {
   EXPECT_THROW(exp::ExperimentRunner({.tick_budget = -1}), std::invalid_argument);
-  EXPECT_THROW(exp::ExperimentRunner({.retries = -1}), std::invalid_argument);
 }
 
 TEST(ExperimentRunner, RunReplicationsMatchesSerialAndUsesStudentT) {

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "src/core/fault_controller.hpp"
 #include "src/exp/experiment_runner.hpp"
@@ -26,6 +27,7 @@
 #include "src/net/grid.hpp"
 #include "src/queuesim/queue_sim.hpp"
 #include "src/scenario/scenario.hpp"
+#include "src/scenario/scenario_io.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/traffic/demand.hpp"
 
@@ -83,20 +85,30 @@ void maybe_dump(const char* label, const stats::NetworkMetrics& m) {
               m.queuing_time_s.mean(), m.travel_time_s.mean(), m.entry_blocked_time_s);
 }
 
+// The schedule's value checks are the schema's: scenario::validate names the
+// offending field exactly as a scenario file's load error would.
 TEST(FaultInjection, ScheduleValidationRejectsBadValues) {
-  scenario::FaultSchedule s;
-  s.capacity.push_back({{0, 0, net::Side::North}, 100.0, 50.0, 0.5});
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);
-  s.capacity[0] = {{0, 0, net::Side::North}, 0.0, 100.0, 1.5};
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);
-  s.capacity.clear();
-  s.sensors.push_back({{0, 0}, 0.0, 100.0, core::SensorFaultKind::Dropout, 0, 0});
-  s.sensors.push_back({{0, 0}, 50.0, 150.0, core::SensorFaultKind::Noise, 0, 1});
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);  // overlap
-  s.sensors[1].start_s = 100.0;  // back-to-back windows are fine
-  EXPECT_NO_THROW(scenario::validate_or_throw(s));
-  s.controllers.push_back({{0, 0}, -1.0, 10.0});
-  EXPECT_THROW(scenario::validate_or_throw(s), std::invalid_argument);
+  scenario::ScenarioConfig cfg;
+  const auto expect_error = [&cfg](const std::string& what) {
+    try {
+      scenario::validate(cfg);
+      ADD_FAILURE() << "expected " << what;
+    } catch (const scenario::ScenarioIoError& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+  };
+  cfg.faults.capacity.push_back({{0, 0, net::Side::North}, 100.0, 50.0, 0.5});
+  expect_error("faults.capacity[0].end_s: must exceed start_s");
+  cfg.faults.capacity[0] = {{0, 0, net::Side::North}, 0.0, 100.0, 1.5};
+  expect_error("faults.capacity[0].capacity_factor: must be in [0, 1]");
+  cfg.faults.capacity.clear();
+  cfg.faults.sensors.push_back({{0, 0}, 0.0, 100.0, core::SensorFaultKind::Dropout, 0, 0});
+  cfg.faults.sensors.push_back({{0, 0}, 50.0, 150.0, core::SensorFaultKind::Noise, 0, 1});
+  expect_error("faults.sensors[1]: overlaps faults.sensors[0] at junction (0, 0)");
+  cfg.faults.sensors[1].start_s = 100.0;  // back-to-back windows are fine
+  EXPECT_NO_THROW(scenario::validate(cfg));
+  cfg.faults.controllers.push_back({{0, 0}, -1.0, 10.0});
+  expect_error("faults.controllers[0].fail_s: must be >= 0");
 }
 
 TEST(FaultInjection, UnresolvableFaultReferenceThrows) {

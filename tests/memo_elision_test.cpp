@@ -7,7 +7,7 @@
 // re-accumulated) or still dirty from an earlier rebuild; empty-and-clean
 // roads — the common case on large grids — are skipped entirely. These tests
 // pin the elided path bit-identical to the retained always-rebuild reference
-// (MicroSimConfig::memo_always_rebuild) over full runs whose roads repeatedly
+// (MicroSim::set_memo_always_rebuild) over full runs whose roads repeatedly
 // drain and refill, so stale-row bugs cannot hide: a row left dirty after a
 // road empties would feed a wrong queue reading to the next controller
 // decision and shift every downstream phase choice.
@@ -15,7 +15,9 @@
 
 #include <cstdint>
 
+#include "src/microsim/micro_sim.hpp"
 #include "src/scenario/scenario.hpp"
+#include "src/sim/run_setup.hpp"
 #include "tests/result_compare.hpp"
 
 namespace abp {
@@ -34,12 +36,18 @@ scenario::ScenarioConfig elision_config(traffic::PatternKind pattern, std::uint6
   return cfg;
 }
 
-void expect_paths_identical(scenario::ScenarioConfig cfg) {
-  cfg.micro.memo_always_rebuild = false;
-  const stats::RunResult elided = scenario::run_scenario(cfg);
-  cfg.micro.memo_always_rebuild = true;
-  const stats::RunResult rebuilt = scenario::run_scenario(cfg);
-  testing::expect_results_identical(elided, rebuilt);
+// One full micro run, built as make_simulator() builds it.
+stats::RunResult run_micro(const scenario::ScenarioConfig& cfg, bool always_rebuild) {
+  const net::Network network = sim::build_validated(sim::effective_grid(cfg));
+  traffic::DemandGenerator demand(network, cfg.demand, cfg.seed);
+  microsim::MicroSim sim = sim::construct_backend<microsim::MicroSim>(
+      cfg, network, demand, sim::make_run_controllers(cfg, network, nullptr));
+  sim.set_memo_always_rebuild(always_rebuild);
+  return sim.finish(cfg.duration_s);
+}
+
+void expect_paths_identical(const scenario::ScenarioConfig& cfg) {
+  testing::expect_results_identical(run_micro(cfg, false), run_micro(cfg, true));
 }
 
 TEST(MemoElision, BitIdenticalToAlwaysRebuildLightDemand) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/scenario/scenario.hpp"
+#include "src/sim/simulator.hpp"
 #include "src/util/json.hpp"
 #include "tests/result_compare.hpp"
 
@@ -342,15 +343,105 @@ TEST(ScenarioIoTest, DumpIsByteStableUnderReload) {
   EXPECT_EQ(dump_scenario(load_scenario(defaults)), defaults);
 }
 
-TEST(ScenarioIoTest, CustomPressureFunctionCannotBeDumped) {
-  ScenarioConfig cfg;
-  cfg.controller.util.pressure = [](double q) { return q * q; };
-  try {
-    (void)dump_scenario(cfg);
-    FAIL() << "expected ScenarioIoError";
-  } catch (const ScenarioIoError& e) {
-    EXPECT_EQ(e.path(), "controller.util.pressure");
+TEST(ScenarioIoTest, EveryPressurePresetDumps) {
+  for (const Token<core::PressureKind>& t : kPressureTokens) {
+    ScenarioConfig cfg;
+    cfg.controller.util.pressure_kind = t.value;
+    cfg.controller.fixed_slot.pressure_kind = t.value;
+    EXPECT_NO_THROW((void)dump_scenario(cfg)) << t.token;
   }
+}
+
+// A config built in code gets the loader's checks from make_simulator():
+// one out-of-range value per checked schema object (a demand segment is
+// checked by DemandSchedule's constructor before it can reach a config),
+// plus the cross-element rules. Each must fail exactly as the config's own
+// scenario file does, before any run starts — interarrival_scale = 0 used
+// to make the run spin forever.
+TEST(ScenarioIoTest, MakeSimulatorRejectsWhatTheLoaderRejects) {
+  struct Case {
+    const char* what;
+    void (*mutate)(ScenarioConfig&);
+  };
+  const Case cases[] = {
+      {"duration_s: must be > 0", [](ScenarioConfig& c) { c.duration_s = -5.0; }},
+      {"grid.rows: must be >= 1", [](ScenarioConfig& c) { c.grid.rows = 0; }},
+      {"demand.interarrival_scale: must be > 0",
+       [](ScenarioConfig& c) { c.demand.interarrival_scale = 0.0; }},
+      {"demand.turning.north.right: must be in [0, 1]",
+       [](ScenarioConfig& c) { c.demand.turning.by_side[0].right = 2.0; }},
+      {"demand.turning.east: right + left must not exceed 1",
+       [](ScenarioConfig& c) { c.demand.turning.by_side[1] = {0.6, 0.6}; }},
+      {"controller.util.alpha: must be < 0",
+       [](ScenarioConfig& c) { c.controller.util.alpha = 0.5; }},
+      {"controller.fixed_slot.amber_duration_s: must be in [0, period_s)",
+       [](ScenarioConfig& c) { c.controller.fixed_slot.period_s = 3.0; }},
+      {"controller.fixed_time.green_duration_s: must be > 0",
+       [](ScenarioConfig& c) { c.controller.fixed_time.green_duration_s = 0.0; }},
+      {"controller_overrides[0].node.row: must be >= 0",
+       [](ScenarioConfig& c) { c.controller_overrides.push_back({{-1, 0}, c.controller}); }},
+      {"controller_overrides[0].controller.fixed_slot.period_s: must be > 0",
+       [](ScenarioConfig& c) {
+         c.controller_overrides.push_back({{0, 0}, c.controller});
+         c.controller_overrides[0].spec.fixed_slot.period_s = 0.0;
+       }},
+      {"controller_overrides[1]: duplicate override for junction (0, 0)",
+       [](ScenarioConfig& c) {
+         c.controller_overrides.push_back({{0, 0}, c.controller});
+         c.controller_overrides.push_back({{0, 0}, c.controller});
+       }},
+      {"micro.sample_interval_s: must be > 0",
+       [](ScenarioConfig& c) { c.micro.sample_interval_s = 0.0; }},
+      {"micro.sensor.quantization: must be >= 1",
+       [](ScenarioConfig& c) { c.micro.sensor.quantization = 0; }},
+      {"micro.vehicle.sigma: must be in [0, 1]",
+       [](ScenarioConfig& c) { c.micro.vehicle.sigma = 5.0; }},
+      {"queue.control_interval_s: must be >= step_s",
+       [](ScenarioConfig& c) { c.queue.control_interval_s = 0.5; }},
+      {"watches[0].row: must be >= 0",
+       [](ScenarioConfig& c) { c.watches.push_back({-1, 0, net::Side::East, "w"}); }},
+      {"faults.capacity[0].road.col: must be >= 0",
+       [](ScenarioConfig& c) {
+         c.faults.capacity.push_back({{0, -1, net::Side::North}, 0.0, 10.0, 0.5});
+       }},
+      {"faults.capacity[0].end_s: must exceed start_s",
+       [](ScenarioConfig& c) {
+         c.faults.capacity.push_back({{0, 0, net::Side::North}, 20.0, 10.0, 0.5});
+       }},
+      {"faults.sensors[0].noise_magnitude: must be >= 0",
+       [](ScenarioConfig& c) {
+         c.faults.sensors.push_back(
+             {{0, 0}, 0.0, 10.0, core::SensorFaultKind::Noise, 0, -1});
+       }},
+      {"faults.sensors[1]: overlaps faults.sensors[0] at junction (0, 0)",
+       [](ScenarioConfig& c) {
+         c.faults.sensors.push_back({{0, 0}, 0.0, 10.0, core::SensorFaultKind::Dropout, 0, 0});
+         c.faults.sensors.push_back({{0, 0}, 5.0, 20.0, core::SensorFaultKind::Dropout, 0, 0});
+       }},
+      {"faults.controllers[0].recover_s: must exceed fail_s",
+       [](ScenarioConfig& c) { c.faults.controllers.push_back({{0, 0}, 10.0, 10.0}); }},
+      {"guard.interval_s: must be > 0", [](ScenarioConfig& c) { c.guard.interval_s = 0.0; }},
+      {"detector.threshold: must be > 0",
+       [](ScenarioConfig& c) { c.detector.threshold = 0.0; }},
+      {"surrogate.service_scale: must be > 0",
+       [](ScenarioConfig& c) { c.surrogate.service_scale = 0.0; }},
+  };
+  const auto error_of = [](auto&& f) -> std::string {
+    try {
+      f();
+    } catch (const ScenarioIoError& e) {
+      return e.what();
+    }
+    return "no ScenarioIoError";
+  };
+  for (const Case& c : cases) {
+    ScenarioConfig cfg =
+        paper_scenario(traffic::PatternKind::II, core::ControllerType::UtilBp);
+    c.mutate(cfg);
+    EXPECT_EQ(error_of([&] { (void)load_scenario(dump_scenario(cfg)); }), c.what);
+    EXPECT_EQ(error_of([&] { (void)sim::make_simulator(cfg); }), c.what);
+  }
+  EXPECT_NO_THROW(validate(FullConfig()));
 }
 
 TEST(ScenarioIoTest, SchemaFieldPathsCoverTheKeyTables) {
