@@ -41,8 +41,10 @@ void BM_GainComputation(benchmark::State& state) {
   Rng rng(1);
   const core::IntersectionObservation obs = random_observation(rng, 0.0);
   core::GainParams params;
+  std::vector<double> gains;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::all_link_gains_util(obs, params));
+    core::all_link_gains_util(obs, core::wstar(obs), params, gains);
+    benchmark::DoNotOptimize(gains.data());
   }
 }
 BENCHMARK(BM_GainComputation);

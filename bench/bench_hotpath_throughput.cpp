@@ -11,20 +11,30 @@
 // *history* instead of *active state*: such a cost makes vehicle-steps/s
 // decay over long runs even at constant occupancy.
 //
+// Each row's wall time is the median of kTrials interleaved trials (every
+// row runs once per round; see interleaved_median_seconds), so one burst of
+// load on a shared box cannot fail the regression gate on its own.
+//
 // Output: a human-readable table on stdout, a CSV mirror under
 // ./bench_results/, and a JSON report (docs/PERFORMANCE.md explains the
-// schema) whose header records the compiler and the machine's hardware
-// concurrency so numbers from different builds are attributable. The JSON
+// schema) whose header records the compiler, the machine's hardware
+// concurrency, its measured effective cores and the trial count, so numbers
+// from different builds and boxes are attributable. The JSON
 // path defaults to BENCH_hotpath.json in the working directory and is
 // overridable as argv[1] — CI writes to a scratch path and diffs it against
 // the checked-in bench/baseline_hotpath.json (bench/compare_hotpath.py).
 // ABP_FAST=1 scales the simulated horizon down 10x for smoke runs.
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -176,13 +186,19 @@ Row run_unified(scenario::SimulatorKind kind, const char* name, double duration_
   return drive(*sim, name, 4, 1, duration_s, dt_s);
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows, double duration_s) {
+// Trials per row; the reported wall time is their median.
+constexpr int kTrials = 3;
+
+void write_json(const std::string& path, const std::vector<Row>& rows, double duration_s,
+                double cores) {
   std::ofstream out(path);
   // The header's sim_seconds is the per-run horizon; batch rows cover
   // several replications of it, so each row also records its own total.
   out << "{\n  \"bench\": \"hotpath_throughput\",\n"
       << "  \"compiler\": \"" << kCompiler << "\",\n"
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n"
+      << "  \"effective_cores\": " << cores << ",\n"
+      << "  \"trials\": " << kTrials << ",\n"
       << "  \"sim_seconds\": " << duration_s << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -212,72 +228,82 @@ int main(int argc, char** argv) {
   const int sim_threads[] = {1, 4};
 
   print_header("Hot-path throughput (vehicle-steps per wall-clock second)");
-  std::printf("compiler: %s, hardware threads: %u\n", kCompiler,
-              std::thread::hardware_concurrency());
-  std::printf("%-6s %-11s %8s %14s %12s %10s %16s %14s\n", "grid", "sim", "threads",
-              "vehicle-steps", "completed", "wall [s]", "veh-steps/s", "ns/veh-step");
+  const double cores = effective_cores();
+  std::printf("compiler: %s, hardware threads: %u, effective cores: %.2f, trials: %d\n",
+              kCompiler, std::thread::hardware_concurrency(), cores, kTrials);
 
-  std::vector<Row> rows;
-  std::ofstream csv = open_csv("hotpath_throughput");
-  csv << "grid,sim,threads,sim_seconds,vehicle_steps,completed,wall_seconds,"
-         "vehicle_steps_per_sec,ns_per_vehicle_step\n";
-  auto emit = [&](Row row) {
-    std::printf("%dx%-4d %-11s %8d %14lld %12zu %10.2f %16.0f %14.2f\n", row.grid,
-                row.grid, row.sim.c_str(), row.threads, row.vehicle_steps, row.completed,
-                row.wall_seconds, row.vehicle_steps_per_sec(), row.ns_per_vehicle_step());
-    std::fflush(stdout);
-    csv << row.grid << "x" << row.grid << "," << row.sim << "," << row.threads << ","
-        << row.sim_seconds << "," << row.vehicle_steps << "," << row.completed << ","
-        << row.wall_seconds << "," << row.vehicle_steps_per_sec() << ","
-        << row.ns_per_vehicle_step() << "\n";
-    rows.push_back(std::move(row));
-  };
-  for (int n : grids) {
+  // Every row is a job; the networks outlive the jobs that reference them.
+  std::vector<std::function<Row()>> jobs;
+  std::deque<net::Network> networks;
+  const auto add_grid_rows = [&](int n, double horizon_s) {
     net::GridConfig grid_cfg;
     grid_cfg.rows = n;
     grid_cfg.cols = n;
-    const net::Network net = net::build_grid(grid_cfg);
-    emit(run_queue(net, duration_s, seed, n));
+    const net::Network& net = networks.emplace_back(net::build_grid(grid_cfg));
+    jobs.emplace_back([&net, horizon_s, seed, n] { return run_queue(net, horizon_s, seed, n); });
     for (int threads : sim_threads) {
-      emit(run_micro(net, duration_s, seed, n, threads));
+      jobs.emplace_back([&net, horizon_s, seed, n, threads] {
+        return run_micro(net, horizon_s, seed, n, threads);
+      });
     }
-  }
+  };
+  for (int n : grids) add_grid_rows(n, duration_s);
   // Metro-scale rows (same schema): 16x16 and 32x32
   // carry 4x / 16x the vehicles of the 8x8, so they run a proportionally
   // shorter horizon to keep the bench's wall time bounded. Throughput in
   // vehicle-steps/s is horizon-independent once the grid is loaded, and each
   // row records its own sim_seconds, so compare_hotpath.py gates them like
   // any other row.
-  struct BigGrid {
-    int n;
-    double horizon_scale;
-  };
-  const BigGrid big_grids[] = {{16, 0.125}, {32, 0.0625}};
-  for (const BigGrid& bg : big_grids) {
-    net::GridConfig grid_cfg;
-    grid_cfg.rows = bg.n;
-    grid_cfg.cols = bg.n;
-    const net::Network net = net::build_grid(grid_cfg);
-    const double big_duration_s = duration_s * bg.horizon_scale;
-    emit(run_queue(net, big_duration_s, seed, bg.n));
-    for (int threads : sim_threads) {
-      emit(run_micro(net, big_duration_s, seed, bg.n, threads));
-    }
-  }
+  add_grid_rows(16, duration_s * 0.125);
+  add_grid_rows(32, duration_s * 0.0625);
   // Run-level parallelism rows: 8-replication fleets on the 4x4 grid through
   // the ExperimentRunner (threads column = runner jobs).
-  for (int jobs : sim_threads) {
-    emit(run_batch(scenario::SimulatorKind::Queue, "queue-batch", jobs, duration_s, seed));
-  }
-  for (int jobs : sim_threads) {
-    emit(run_batch(scenario::SimulatorKind::Micro, "micro-batch", jobs, duration_s, seed));
+  for (const auto& [kind, name] : {std::pair{scenario::SimulatorKind::Queue, "queue-batch"},
+                                   std::pair{scenario::SimulatorKind::Micro, "micro-batch"}}) {
+    for (int jobs_n : sim_threads) {
+      jobs.emplace_back([=] { return run_batch(kind, name, jobs_n, duration_s, seed); });
+    }
   }
   // Fault-machinery rows on the 4x4 grid (see run_unified): empty-schedule
   // pass-through vs the full incident repertoire.
-  emit(run_unified(scenario::SimulatorKind::Queue, "queue-nofault", duration_s, seed, false));
-  emit(run_unified(scenario::SimulatorKind::Queue, "queue-incident", duration_s, seed, true));
-  emit(run_unified(scenario::SimulatorKind::Micro, "micro-nofault", duration_s, seed, false));
-  emit(run_unified(scenario::SimulatorKind::Micro, "micro-incident", duration_s, seed, true));
-  write_json(json_path, rows, duration_s);
+  for (const auto& [kind, nofault, incident] :
+       {std::tuple{scenario::SimulatorKind::Queue, "queue-nofault", "queue-incident"},
+        std::tuple{scenario::SimulatorKind::Micro, "micro-nofault", "micro-incident"}}) {
+    jobs.emplace_back([=] { return run_unified(kind, nofault, duration_s, seed, false); });
+    jobs.emplace_back([=] { return run_unified(kind, incident, duration_s, seed, true); });
+  }
+
+  // Load descriptors come from the first trial; later trials must match them
+  // (fixed seeds), or the median would mix different work.
+  std::vector<Row> rows(jobs.size());
+  const std::vector<double> walls =
+      interleaved_median_seconds(jobs.size(), kTrials, [&](std::size_t i) {
+        Row row = jobs[i]();
+        if (rows[i].sim.empty()) {
+          rows[i] = row;
+        } else if (row.vehicle_steps != rows[i].vehicle_steps ||
+                   row.completed != rows[i].completed) {
+          throw std::runtime_error("row " + row.sim + " did different work across trials");
+        }
+        return row.wall_seconds;
+      });
+
+  std::printf("%-6s %-11s %8s %14s %12s %10s %16s %14s\n", "grid", "sim", "threads",
+              "vehicle-steps", "completed", "wall [s]", "veh-steps/s", "ns/veh-step");
+  std::ofstream csv = open_csv("hotpath_throughput");
+  csv << "grid,sim,threads,sim_seconds,vehicle_steps,completed,wall_seconds,"
+         "vehicle_steps_per_sec,ns_per_vehicle_step\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    Row& row = rows[i];
+    row.wall_seconds = walls[i];
+    std::printf("%dx%-4d %-11s %8d %14lld %12zu %10.2f %16.0f %14.2f\n", row.grid,
+                row.grid, row.sim.c_str(), row.threads, row.vehicle_steps, row.completed,
+                row.wall_seconds, row.vehicle_steps_per_sec(), row.ns_per_vehicle_step());
+    csv << row.grid << "x" << row.grid << "," << row.sim << "," << row.threads << ","
+        << row.sim_seconds << "," << row.vehicle_steps << "," << row.completed << ","
+        << row.wall_seconds << "," << row.vehicle_steps_per_sec() << ","
+        << row.ns_per_vehicle_step() << "\n";
+  }
+  write_json(json_path, rows, duration_s, cores);
   return 0;
 }

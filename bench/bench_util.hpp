@@ -5,12 +5,17 @@
 // external re-plotting.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/util/csv.hpp"
 
@@ -38,18 +43,60 @@ template <typename Fn>
       .count();
 }
 
-// Best-of-N timing for sections cheap enough to repeat: runs fn() `rounds`
-// times and keeps the fastest wall clock, shedding scheduler noise the way
-// repeated interleaved measurement does. Deterministic workloads only — fn
-// must do the same work every round.
-template <typename Fn>
-[[nodiscard]] inline double best_of_seconds(int rounds, Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
+// Median-of-N interleaved timing for benches that time several sections:
+// trials(i) runs and times section i once and returns its wall seconds.
+// Round r times every section once, in order, before round r + 1 starts, so
+// a burst of load from the rest of the box lands on one trial of several
+// sections instead of on every trial of one; each section then reports the
+// median of its `rounds` trials. Unlike a best-of, the median neither rewards
+// a lucky quiet moment nor lets one slow trial decide. `rounds` should be
+// odd.
+template <typename Trial>
+[[nodiscard]] inline std::vector<double> interleaved_median_seconds(std::size_t sections,
+                                                                    int rounds, Trial&& trial) {
+  std::vector<std::vector<double>> samples(sections);
   for (int r = 0; r < rounds; ++r) {
-    const double s = timed_seconds(fn);
-    if (s < best) best = s;
+    for (std::size_t i = 0; i < sections; ++i) samples[i].push_back(trial(i));
   }
-  return best;
+  std::vector<double> medians;
+  medians.reserve(sections);
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
+}
+
+// Cores that actually run in parallel right now: every hardware thread
+// spins a fixed amount of dependent integer work, and the result is
+// threads * t(one thread) / t(all threads), the median of three rounds that
+// each time one thread and then all of them back to back. Reads below
+// hardware_concurrency on a shared or throttled box, which is what decides
+// whether a threaded row's number means anything. Takes ~0.5 s.
+[[nodiscard]] inline double effective_cores() {
+  const auto spin_seconds = [](unsigned threads) {
+    constexpr std::uint64_t kIterations = 100'000'000;
+    std::atomic<std::uint64_t> sink{0};
+    std::vector<std::thread> pool;
+    return timed_seconds([&] {
+      for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&] {
+          std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+          for (std::uint64_t i = 0; i < kIterations; ++i) x = x * 6364136223846793005ULL + i;
+          sink += x;
+        });
+      }
+      for (std::thread& t : pool) t.join();
+    });
+  };
+  const unsigned threads = std::max(1U, std::thread::hardware_concurrency());
+  std::vector<double> rounds;
+  for (int round = 0; round < 3; ++round) {
+    const double one = spin_seconds(1);
+    rounds.push_back(threads * one / spin_seconds(threads));
+  }
+  std::sort(rounds.begin(), rounds.end());
+  return rounds[1];
 }
 
 // Directory that receives the CSV mirrors of every bench result.

@@ -61,8 +61,9 @@ class FixedSlotBpController final : public SignalController {
   [[nodiscard]] const FixedSlotBpConfig& config() const noexcept { return config_; }
 
  private:
-  [[nodiscard]] std::vector<double> link_weights(const IntersectionObservation& obs) const;
-  [[nodiscard]] net::PhaseIndex select_phase(const IntersectionObservation& obs) const;
+  // Writes the slot decision's per-link weights into weights_.
+  void compute_link_weights(const IntersectionObservation& obs);
+  [[nodiscard]] net::PhaseIndex select_phase(const IntersectionObservation& obs);
   // Vehicles the phase could serve this slot, for the work-conserving fallback.
   [[nodiscard]] double servable(const IntersectionObservation& obs,
                                 net::PhaseIndex phase) const;
@@ -71,6 +72,9 @@ class FixedSlotBpController final : public SignalController {
   FixedSlotBpConfig config_;
   FixedSlotRule rule_;
   Pressure pressure_;
+  // Per-link weights of the running slot decision; a member so decide()
+  // never allocates.
+  std::vector<double> weights_;
   // Time at which the next slot decision is due.
   double next_slot_ = 0.0;
   bool started_ = false;

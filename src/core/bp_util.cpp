@@ -29,7 +29,7 @@ void UtilBpController::reset() {
 }
 
 double UtilBpController::gstar_for(const IntersectionObservation& obs,
-                                   std::span<const double> gains) const {
+                                   double wstar_value) const {
   switch (config_.gstar_policy) {
     case GStarPolicy::Zero:
       return 0.0;
@@ -39,9 +39,9 @@ double UtilBpController::gstar_for(const IntersectionObservation& obs,
       // Eq. (12): W* times the service rate of the current phase's max-gain
       // link L_max(c(k-1), k).
       const auto& phase = plan_.phases[static_cast<std::size_t>(current_)];
-      const int lmax = phase_argmax_link(phase, gains);
+      const int lmax = phase_argmax_link(phase, gains_);
       if (lmax < 0) return 0.0;
-      return wstar(obs) * obs.links[static_cast<std::size_t>(lmax)].service_rate;
+      return wstar_value * obs.links[static_cast<std::size_t>(lmax)].service_rate;
     }
   }
   return 0.0;
@@ -91,23 +91,23 @@ net::PhaseIndex UtilBpController::decide(const IntersectionObservation& obs) {
   if (static_cast<int>(obs.links.size()) != plan_.num_links) {
     throw std::invalid_argument("observation size does not match plan");
   }
-  const std::vector<double> gains = all_link_gains_util(obs, gain_params_);
-
-  // Case 1: transition phase still running (Lines 1-2).
+  // Case 1: transition phase still running (Lines 1-2). Reads no gains.
   if (current_ == net::kTransitionPhase && obs.time < transition_until_) {
     return net::kTransitionPhase;
   }
+  const double w = wstar(obs);
+  all_link_gains_util(obs, w, gain_params_, gains_);
 
   // Case 2: current control phase still offers good utilization (Lines 3-4).
   if (current_ != net::kTransitionPhase) {
     const auto& phase = plan_.phases[static_cast<std::size_t>(current_)];
-    if (phase_gain_max(phase, gains) > gstar_for(obs, gains)) {
+    if (phase_gain_max(phase, gains_) > gstar_for(obs, w)) {
       return current_;
     }
   }
 
   // Case 3: select a (possibly new) control phase (Lines 5-18).
-  const net::PhaseIndex chosen = select_phase(gains);
+  const net::PhaseIndex chosen = select_phase(gains_);
   if (chosen == current_ || current_ == net::kTransitionPhase) {
     current_ = chosen;
     return current_;

@@ -61,13 +61,15 @@ class UtilBpController final : public SignalController {
   [[nodiscard]] net::PhaseIndex current_phase() const noexcept { return current_; }
 
  private:
-  [[nodiscard]] double gstar_for(const IntersectionObservation& obs,
-                                 std::span<const double> gains) const;
+  // `wstar_value` is wstar(obs), computed once per decision.
+  [[nodiscard]] double gstar_for(const IntersectionObservation& obs, double wstar_value) const;
   [[nodiscard]] net::PhaseIndex select_phase(std::span<const double> gains) const;
 
   IntersectionPlan plan_;
   UtilBpConfig config_;
   GainParams gain_params_;
+  // This decision's link gains; a member so decide() never allocates.
+  std::vector<double> gains_;
   net::PhaseIndex current_ = net::kTransitionPhase;
   // t_Deltak of Algorithm 1: expiry time of the running transition phase.
   double transition_until_ = -1.0;

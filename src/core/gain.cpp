@@ -29,15 +29,12 @@ double link_gain_util(const LinkState& link, double wstar_value, const GainParam
   return link_gain_modified(link, wstar_value, params.pressure);
 }
 
-std::vector<double> all_link_gains_util(const IntersectionObservation& obs,
-                                        const GainParams& params) {
-  const double w = wstar(obs);
-  std::vector<double> gains;
-  gains.reserve(obs.links.size());
-  for (const LinkState& l : obs.links) {
-    gains.push_back(link_gain_util(l, w, params));
+void all_link_gains_util(const IntersectionObservation& obs, double wstar_value,
+                         const GainParams& params, std::vector<double>& gains) {
+  gains.resize(obs.links.size());
+  for (std::size_t i = 0; i < gains.size(); ++i) {
+    gains[i] = link_gain_util(obs.links[i], wstar_value, params);
   }
-  return gains;
 }
 
 double phase_gain(std::span<const int> phase_links, std::span<const double> link_gains) {

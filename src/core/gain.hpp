@@ -48,9 +48,11 @@ struct GainParams {
 [[nodiscard]] double link_gain_util(const LinkState& link, double wstar_value,
                                     const GainParams& params);
 
-// Gains of all links of an observation under Eq. (8), in link order.
-[[nodiscard]] std::vector<double> all_link_gains_util(const IntersectionObservation& obs,
-                                                      const GainParams& params);
+// Gains of all links of an observation under Eq. (8), in link order, written
+// into `gains` (resized to the link count; no allocation once it has held
+// that many). `wstar_value` is wstar(obs), which callers often need too.
+void all_link_gains_util(const IntersectionObservation& obs, double wstar_value,
+                         const GainParams& params, std::vector<double>& gains);
 
 // Eq. (10): total gain of a phase given per-link gains. Empty phase -> 0.
 [[nodiscard]] double phase_gain(std::span<const int> phase_links,

@@ -190,9 +190,8 @@ inline void lane_update_vectorized(double* pos, double* speed, std::size_t n,
 }
 
 // Scalar reference: the pre-vectorization per-vehicle loop, kept as the
-// semantic baseline, the short-lane fast path of lane_update(), the target
-// of the lane-level bit-equality pin, and one side of bench_krauss_kernel's
-// comparison. Consumes rng draws tail-first (slot n-1 first), exactly as the
+// semantic baseline, the target of the lane-level bit-equality pin, and one
+// side of bench_krauss_kernel's comparison. The sweep never calls it. Consumes rng draws tail-first (slot n-1 first), exactly as the
 // historical sweep did — fill_u01_tailfirst reproduces precisely this
 // consumption order, which is why the two implementations share one stream
 // position.
@@ -249,8 +248,9 @@ inline void lane_update_reference(double* pos, double* speed, std::size_t n,
 // microbench artifact (a single lane in steady state trains the branch
 // predictor perfectly, hiding the scalar loop's data-dependent branches). In
 // the real sweep, where lane states vary from tick to tick, dispatching
-// short lanes to the scalar loop measured ~15% *slower* end-to-end than
-// running the branchless kernel everywhere, so the sweep always uses the
-// kernel (see docs/PERFORMANCE.md "Vectorized lane kernel").
+// lanes with n <= 2 to the scalar loop measured 13% slower on perfbench's
+// metro_light (ns/veh-step median 192 -> 217, 6 alternating pairs) and 4%
+// slower on paper_table3 (27.3 -> 28.3, 4 pairs), so the sweep always uses
+// the kernel (see docs/PERFORMANCE.md "Vectorized lane kernel").
 
 }  // namespace abp::microsim

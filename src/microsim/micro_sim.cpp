@@ -1,6 +1,7 @@
 #include "src/microsim/micro_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -17,7 +18,8 @@ MicroSim::MicroSim(const net::Network& network, MicroSimConfig config,
       controllers_(std::move(controllers)),
       demand_(demand),
       rng_(seed),
-      seed_(seed) {
+      seed_(seed),
+      obs_table_(network) {
   if (!net_.finalized()) throw std::invalid_argument("network must be finalized");
   if (config_.dt_s <= 0.0) throw std::invalid_argument("dt must be positive");
   if (config_.control_interval_s < config_.dt_s) {
@@ -42,6 +44,10 @@ void MicroSim::build_runtime() {
   }
   road_capacity_.reserve(net_.roads().size());
   for (const net::Road& road : net_.roads()) road_capacity_.push_back(road.capacity);
+  occupancy_.assign(net_.roads().size(), 0);
+  const std::size_t road_words = (net_.roads().size() + 63) / 64;
+  occupied_.assign(road_words, 0);
+  memo_dirty_.assign(road_words, 0);
 
   for (const net::Road& road : net_.roads()) {
     RoadRt& rt = roads_[road.id.index()];
@@ -97,7 +103,6 @@ void MicroSim::build_runtime() {
   road_queued_approach_.assign(net_.roads().size(), 0);
   road_queued_congestion_.assign(net_.roads().size(), 0);
   link_queued_approach_.assign(net_.links().size(), 0);
-  memo_dirty_.assign(net_.roads().size(), 0);
   sweep_scratch_.resize(static_cast<std::size_t>(config_.threads));
   std::size_t max_lanes = 1;
   for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lanes.size());
@@ -122,7 +127,39 @@ int MicroSim::lane_count(LinkId link) const {
   return count;
 }
 
-int MicroSim::road_occupancy(RoadId road) const { return roads_[road.index()].occupancy; }
+int MicroSim::road_occupancy(RoadId road) const { return occupancy_[road.index()]; }
+
+bool MicroSim::road_occupied(RoadId road) const { return bit_set(occupied_, road.index()); }
+
+core::LinkState MicroSim::recount_link_state(LinkId link) const {
+  const net::Link& l = net_.link(link);
+  core::LinkState state;
+  state.queue = link_queued_count(link, config_.approach_queue_threshold_mps);
+  state.upstream_total = road_queued_count(l.from_road, config_.approach_queue_threshold_mps);
+  state.upstream_capacity = net_.road(l.from_road).capacity;
+  state.downstream_queue =
+      road_queued_count(l.to_road, config_.congestion_queue_threshold_mps);
+  // Occupancy: vehicles on the road's lanes plus boxed vehicles bound for it.
+  state.downstream_total = road_vehicle_count(l.to_road);
+  for (VehicleId vid : in_junction_) {
+    if (veh_meta_[vid.index()].road == l.to_road) ++state.downstream_total;
+  }
+  state.downstream_capacity = net_.road(l.to_road).capacity;
+  state.service_rate = l.service_rate;
+  return state;
+}
+
+const core::IntersectionObservation& MicroSim::observation(IntersectionId node) const {
+  return obs_table_.observation(node.index());
+}
+
+void MicroSim::add_occupant(std::size_t road) {
+  if (occupancy_[road]++ == 0) occupied_[road / 64] |= bit_of(road);
+}
+
+void MicroSim::remove_occupant(std::size_t road) {
+  if (--occupancy_[road] == 0) occupied_[road / 64] &= ~bit_of(road);
+}
 
 void MicroSim::set_road_capacity(RoadId road, int capacity) {
   road_capacity_[road.index()] = std::max(0, capacity);
@@ -225,40 +262,31 @@ bool MicroSim::entry_clear(const RoadRt& rt, int lane_index) const {
   return rear_pos - config_.vehicle.length_m >= config_.vehicle.min_gap_m + 0.5;
 }
 
-const core::IntersectionObservation& MicroSim::observe(const net::Intersection& node) {
-  core::IntersectionObservation& obs = obs_scratch_;
-  obs.time = now_;
-  obs.links.clear();
-  obs.links.reserve(node.links.size());
-  for (LinkId lid : node.links) {
-    const net::Link& link = net_.link(lid);
-    core::LinkState state;
-    // Queue readings pass through the detector model; occupancy and
-    // capacities are physical state, never perturbed. True counts come from
-    // the control-step memo tables (refresh_queue_memo), not per-link scans.
-    state.queue =
-        core::measure_queue(link_queued_approach_[lid.index()], config_.sensor, rng_);
-    state.upstream_total = core::measure_queue(road_queued_approach_[link.from_road.index()],
-                                               config_.sensor, rng_);
-    state.upstream_capacity = net_.road(link.from_road).capacity;
-    state.downstream_queue = core::measure_queue(
-        road_queued_congestion_[link.to_road.index()], config_.sensor, rng_);
-    state.downstream_total = roads_[link.to_road.index()].occupancy;
-    state.downstream_capacity = net_.road(link.to_road).capacity;
-    state.service_rate = link.service_rate;
-    obs.links.push_back(state);
-  }
-  return obs;
+const core::IntersectionObservation& MicroSim::observe(std::size_t node) {
+  // Queue readings pass through the detector model, in link order and
+  // queue / upstream / downstream order within a link (the rng_ sequence);
+  // occupancy is physical state, never perturbed. True counts come from the
+  // control-step memo tables, not per-link scans.
+  return obs_table_.refresh(node, now_, [this](const core::ObservationTable::Row& row,
+                                               core::LinkState& state) {
+    state.queue = core::measure_queue(link_queued_approach_[row.link], config_.sensor, rng_);
+    state.upstream_total =
+        core::measure_queue(road_queued_approach_[row.from_road], config_.sensor, rng_);
+    state.downstream_queue =
+        core::measure_queue(road_queued_congestion_[row.to_road], config_.sensor, rng_);
+    state.downstream_total = occupancy_[row.to_road];
+  });
 }
 
 void MicroSim::control_step() {
-  for (const net::Intersection& node : net_.intersections()) {
-    const net::PhaseIndex phase = controllers_[node.id.index()]->decide(observe(node));
-    if (phase < 0 || phase >= static_cast<int>(node.phases.size())) {
+  const std::vector<net::Intersection>& nodes = net_.intersections();
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    const net::PhaseIndex phase = controllers_[n]->decide(observe(n));
+    if (phase < 0 || phase >= static_cast<int>(nodes[n].phases.size())) {
       throw std::logic_error("controller returned an out-of-range phase");
     }
-    displayed_[node.id.index()] = phase;
-    result_.phase_traces[node.id.index()].record(now_, phase);
+    displayed_[n] = phase;
+    result_.phase_traces[n].record(now_, phase);
   }
 }
 
@@ -300,7 +328,8 @@ void MicroSim::admit_spawns() {
     // The scratch is sized to the widest road of the network (build_runtime),
     // never to a fixed lane count.
     std::fill(lane_blocked_.begin(), lane_blocked_.begin() + rt.lanes.size(), 0);
-    for (auto it = rt.buffer.begin(); it != rt.buffer.end() && rt.occupancy < capacity;) {
+    int& occupancy = occupancy_[entry.index()];
+    for (auto it = rt.buffer.begin(); it != rt.buffer.end() && occupancy < capacity;) {
       const VehicleId vid = *it;
       VehMeta& m = veh_meta_[vid.index()];
       const int lane = lane_index_for_turn(entry, m.route.turns.front());
@@ -310,7 +339,7 @@ void MicroSim::admit_spawns() {
         continue;
       }
       it = rt.buffer.erase(it);
-      rt.occupancy += 1;
+      add_occupant(entry.index());
       m.loc = Loc::Lane;
       m.lane = lane;
       m.entry_time = now_;
@@ -362,8 +391,8 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
   VehMeta& m = veh_meta_[vid.index()];
   const net::Link& l = net_.link(link);
   const RoadId to_road = l.to_road;
-  RoadRt& target = roads_[to_road.index()];
-  if (target.occupancy >= road_capacity_[to_road.index()]) return false;
+  if (occupancy_[to_road.index()] >= road_capacity_[to_road.index()]) return false;
+  const RoadRt& target = roads_[to_road.index()];
 
   int target_lane = 0;
   const std::size_t next = m.next_turn + 1;
@@ -381,7 +410,7 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
                                    ? std::min(l.service_rate, config_.saturation_flow_vps)
                                    : l.service_rate;
   lrt.next_grant = now_ + 1.0 / physical_rate;
-  target.occupancy += 1;
+  add_occupant(to_road.index());
   m.road = to_road;
   m.lane = target_lane;
   m.next_turn = next;
@@ -417,7 +446,8 @@ void MicroSim::service_junctions() {
     for (std::uint32_t k = phase_link_offsets_[slot]; k < slot_end; ++k) {
       const LinkId lid = phase_links_[k];
       const LinkRt& lrt = links_[lid.index()];
-      if (now_ < lrt.next_grant) continue;
+      // An empty road has an empty stop line: skip it before touching it.
+      if (!bit_set(occupied_, lrt.from_road.index()) || now_ < lrt.next_grant) continue;
       RoadRt& rt = roads_[lrt.from_road.index()];
       Lane& lane = rt.lanes[static_cast<std::size_t>(lrt.lane_index)];
       if (lane.vehicles.empty()) continue;
@@ -437,7 +467,7 @@ void MicroSim::service_junctions() {
       veh_waiting_[vid.index()] = lane.waiting.front();
       VehMeta& m = veh_meta_[vid.index()];
       m.junction_exit = now_ + config_.junction_crossing_s;
-      rt.occupancy -= 1;
+      remove_occupant(lrt.from_road.index());
       lane.pop_head();
       m.loc = Loc::Junction;
       in_junction_.push_back(vid);
@@ -557,33 +587,36 @@ void MicroSim::sweep_roads() {
     std::fill(link_queued_approach_.begin(), link_queued_approach_.end(), 0);
   }
   const std::vector<net::Road>& roads = net_.roads();
-  // The chunk id keys the per-work-unit kernel scratch: one scratch per
-  // participant, never shared, reused across that chunk's lanes and ticks.
-  // Memo rows and dirty bits are touched only by the owning road's work
-  // unit (a link's row belongs to its from_road), so this stays race-free.
+  // Work units are words of the occupied-road bitset; a road's bits, memo
+  // rows and dirty bit are touched only by the unit owning its word (a
+  // link's row belongs to its from_road), so the sweep stays race-free and
+  // its results cannot depend on the partition. The chunk id keys the
+  // per-work-unit kernel scratch: one per participant, never shared.
   pool_->parallel_for_indexed(
-      roads.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+      occupied_.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         LaneKernelScratch& scratch = sweep_scratch_[chunk];
-        for (std::size_t r = begin; r < end; ++r) {
-          RoadRt& rt = roads_[r];
-          if (rt.occupancy == 0) {  // occupancy >= vehicles on lanes
-            if (memo_pending_ && memo_dirty_[r]) {
-              zero_memo_rows(r);
-              memo_dirty_[r] = 0;
+        for (std::size_t w = begin; w < end; ++w) {
+          const std::uint64_t occupied = occupied_[w];
+          // Set bits in ascending road order. A rebuild re-zeroes the rows of
+          // every occupied road (about to be re-accumulated) and of every
+          // road still dirty from an earlier rebuild (drained since); empty
+          // and clean roads are never visited.
+          std::uint64_t visit = memo_pending_ ? occupied | memo_dirty_[w] : occupied;
+          while (visit != 0) {
+            const int b = std::countr_zero(visit);
+            visit &= visit - 1;
+            const std::size_t r = w * 64 + static_cast<std::size_t>(b);
+            if (memo_pending_) zero_memo_rows(r);
+            if ((occupied >> b & 1U) == 0) continue;
+            RoadRt& rt = roads_[r];
+            StreamRng& stream = road_streams_[r];
+            for (Lane& lane : rt.lanes) {
+              // Empty dedicated lanes are common (traffic concentrates on a
+              // few movements); skip them before paying the call.
+              if (!lane.vehicles.empty()) sweep_lane(roads[r], rt, lane, stream, scratch);
             }
-            continue;
           }
-          const net::Road& road = roads[r];
-          if (memo_pending_) {
-            zero_memo_rows(r);
-            memo_dirty_[r] = 1;
-          }
-          StreamRng& stream = road_streams_[r];
-          for (Lane& lane : rt.lanes) {
-            // Empty dedicated lanes are common (traffic concentrates on a
-            // few movements); skip them before paying the call.
-            if (!lane.vehicles.empty()) sweep_lane(road, rt, lane, stream, scratch);
-          }
+          if (memo_pending_) memo_dirty_[w] = occupied;
         }
       });
   apply_completions();
@@ -609,7 +642,7 @@ void MicroSim::apply_completions() {
 void MicroSim::complete_vehicle(VehicleId vid) {
   VehMeta& m = veh_meta_[vid.index()];
   m.loc = Loc::Done;
-  roads_[m.road.index()].occupancy -= 1;
+  remove_occupant(m.road.index());
   in_network_count_ -= 1;
   result_.metrics.completed += 1;
   result_.metrics.queuing_time_s.add(veh_waiting_[vid.index()]);

@@ -26,15 +26,22 @@
 // MicroSimConfig::sensor); the capacity test of Eq. (8) uses physical
 // occupancy. See DESIGN.md §5 for the sensing rationale.
 //
-// --- Parallel tick architecture (see docs/PERFORMANCE.md) ---
-// Each tick is split into a short sequential junction phase (admission,
-// junction-box releases, stop-line service grants — everything that touches
-// cross-road state) and a data-parallel sweep phase: the Krauss update of
-// every lane, partitioned by road across a fixed ThreadPool. During the sweep
-// a road's work unit reads and writes only state owned by that road (its
-// lanes, its vehicles' kinematic arrays, its memo-table rows) and draws
-// dawdling noise from the road's own counter-based StreamRng, so fixed-seed
-// results are bit-identical at every MicroSimConfig::threads value. Exit-road
+// --- Tick architecture (see docs/PERFORMANCE.md) ---
+// Each tick is split into a short sequential junction phase (control step,
+// admission, junction-box releases, stop-line service grants — everything
+// that touches cross-road state) and a data-parallel sweep phase: the Krauss
+// update of every lane of every occupied road. A control step refreshes each
+// junction's row of the shared core::ObservationTable from the dense memo and
+// occupancy arrays (four fields per link; the static ones were written once)
+// and asks its controller for a phase. The tick touches only occupied roads:
+// a bitset with bit r set iff road r's occupancy is nonzero, updated on
+// 0 <-> 1 transitions, drives the sweep, the lazy memo-row zeroing and the
+// stop-line service, in ascending road order. The sweep is partitioned by
+// bitset words across a fixed ThreadPool. During the sweep a road's work
+// unit reads and writes only state owned by that road (its lanes, its
+// vehicles' kinematic arrays, its memo-table rows) and draws dawdling noise
+// from the road's own counter-based StreamRng, so fixed-seed results are
+// bit-identical at every MicroSimConfig::threads value. Exit-road
 // completions are staged per road during the sweep and applied sequentially
 // afterwards in exit-road order, keeping the floating-point metric
 // accumulation order thread-count independent.
@@ -50,6 +57,7 @@
 // bookkeeping) sits in a VehMeta array that only the junction phase reads.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -57,6 +65,7 @@
 #include <vector>
 
 #include "src/core/controller.hpp"
+#include "src/core/observation_table.hpp"
 #include "src/microsim/lane_kernel.hpp"
 #include "src/microsim/params.hpp"
 #include "src/net/network.hpp"
@@ -105,6 +114,16 @@ class MicroSim {
   [[nodiscard]] int lane_count(LinkId link) const;
   // Vehicles on the road (all lanes) plus inbound junction reservations.
   [[nodiscard]] int road_occupancy(RoadId road) const;
+  // The road's bit in the occupied-road set the tick visits; must equal
+  // road_occupancy(road) > 0 between ticks.
+  [[nodiscard]] bool road_occupied(RoadId road) const;
+  // The junction's observation as of its latest control step.
+  [[nodiscard]] const core::IntersectionObservation& observation(IntersectionId node) const;
+  // Brute-force recount of the live state behind one movement's
+  // observation, from lane scans and the junction box instead of the memo
+  // tables and occupancy counters. Equals the observation's LinkState
+  // (perfect sensor) between the tick before a control step and that step.
+  [[nodiscard]] core::LinkState recount_link_state(LinkId link) const;
   // Stop-line queue total of a road: lane_count over all its movements (the
   // microscopic q_i of Eq. 1; same contract as QueueSim::queued_on_road).
   [[nodiscard]] int queued_on_road(RoadId road) const;
@@ -188,8 +207,6 @@ class MicroSim {
 
   struct RoadRt {
     std::vector<Lane> lanes;
-    // Vehicles on lanes + junction-box reservations headed here.
-    int occupancy = 0;
     // Exit-road completion staged by this tick's parallel sweep; applied (and
     // cleared) sequentially by apply_completions(). At most one per tick:
     // exit roads have a single lane and only its head can cross the far end.
@@ -222,7 +239,8 @@ class MicroSim {
   // every green lane. Grants mutate cross-road state (downstream occupancy,
   // the junction box), so this runs single-threaded before the sweep.
   void service_junctions();
-  // Data-parallel phase: Krauss update of every lane, partitioned by road.
+  // Data-parallel phase: Krauss update of every lane of every occupied road,
+  // partitioned by words of the occupied-road bitset.
   void sweep_roads();
   // One lane's update: the vectorized kernel passes of lane_kernel.hpp over
   // the lane's SoA arrays, then the (branchy, per-vehicle) accounting tail —
@@ -238,9 +256,15 @@ class MicroSim {
   bool try_grant(VehicleId vid, LinkId link);
   void complete_vehicle(VehicleId vid);
   void sample_watches();
-  // Fills and returns the reusable observation buffer (valid until the next
-  // observe() call); avoids re-allocating the link array per decision.
-  [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
+  // Refreshes junction `node`'s row of the observation table and returns it.
+  [[nodiscard]] const core::IntersectionObservation& observe(std::size_t node);
+  // Occupancy +1 / -1 on a road, keeping occupied_ in step on 0 <-> 1.
+  void add_occupant(std::size_t road);
+  void remove_occupant(std::size_t road);
+  static constexpr std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << (i % 64); }
+  static bool bit_set(const std::vector<std::uint64_t>& bits, std::size_t i) {
+    return (bits[i / 64] & bit_of(i)) != 0;
+  }
   [[nodiscard]] int lane_index_for_turn(RoadId road, net::Turn turn) const;
   [[nodiscard]] int road_vehicle_count(RoadId road) const;
   // Queue-length detector: vehicles on the lane moving slower than the given
@@ -296,6 +320,13 @@ class MicroSim {
   int in_network_count_ = 0;
 
   std::vector<RoadRt> roads_;
+  // Per road: vehicles on its lanes plus junction-box reservations headed
+  // there (dense, for admission, grants and observations) ...
+  std::vector<int> occupancy_;
+  // ... and the same as a bitset, bit r set iff occupancy_[r] > 0. The sweep
+  // and the memo zeroing visit only set bits, the stop-line service skips
+  // green links whose road bit is clear.
+  std::vector<std::uint64_t> occupied_;
   std::vector<LinkRt> links_;
   // Precomputed green-link index (CSR): for intersection n displaying phase
   // p, the movements with right-of-way are
@@ -319,20 +350,21 @@ class MicroSim {
   std::vector<int> road_queued_approach_;
   std::vector<int> road_queued_congestion_;
   std::vector<int> link_queued_approach_;
-  // Per-road memo dirty bit: set when a rebuild wrote nonzero-capable rows
-  // for an occupied road, cleared once an empty road's rows are re-zeroed.
-  // Lets the rebuild skip empty-and-clean roads instead of re-zeroing every
-  // row globally (see sweep_roads); flat char vector so the sweep's owning
-  // work unit writes its own byte without atomics.
-  std::vector<char> memo_dirty_;
+  // Per-road memo dirty bits, laid out like occupied_: set when a rebuild
+  // wrote nonzero-capable rows for an occupied road, cleared once an empty
+  // road's rows are re-zeroed. Lets the rebuild skip empty-and-clean roads
+  // instead of re-zeroing every row globally (see sweep_roads); the sweep's
+  // work unit owns whole words, so it writes them without atomics.
+  std::vector<std::uint64_t> memo_dirty_;
   bool memo_pending_ = false;
   bool memo_always_rebuild_ = false;
   // Per-entry-road admission scratch, sized to the widest road once.
   std::vector<char> lane_blocked_;
   // Reused per-tick spawn buffer filled by DemandGenerator::poll_into.
   std::vector<traffic::SpawnRequest> spawn_buffer_;
-  // Reused by observe() so the per-decision link array is allocated once.
-  core::IntersectionObservation obs_scratch_;
+  // Per-junction controller inputs; observe() rewrites only the dynamic
+  // fields.
+  core::ObservationTable obs_table_;
 
   std::vector<Watch> watches_;
   stats::RunResult result_;

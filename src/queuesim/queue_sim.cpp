@@ -8,7 +8,11 @@ namespace abp::queuesim {
 QueueSim::QueueSim(const net::Network& network, QueueSimConfig config,
                    std::vector<core::ControllerPtr> controllers,
                    traffic::DemandGenerator& demand)
-    : net_(network), config_(config), controllers_(std::move(controllers)), demand_(demand) {
+    : net_(network),
+      config_(config),
+      controllers_(std::move(controllers)),
+      demand_(demand),
+      obs_table_(network) {
   if (!net_.finalized()) throw std::invalid_argument("network must be finalized");
   if (config_.step_s <= 0.0) throw std::invalid_argument("step must be positive");
   if (config_.control_interval_s < config_.step_s) {
@@ -52,39 +56,32 @@ void QueueSim::set_road_capacity(RoadId road, int capacity) {
 
 double QueueSim::link_credit(LinkId link) const { return links_[link.index()].credit; }
 
-const core::IntersectionObservation& QueueSim::observe(const net::Intersection& node) {
-  core::IntersectionObservation& obs = obs_scratch_;
-  obs.time = now_;
-  obs.links.clear();
-  obs.links.reserve(node.links.size());
-  for (LinkId lid : node.links) {
-    const net::Link& link = net_.link(lid);
-    core::LinkState state;
-    state.queue = static_cast<int>(links_[lid.index()].queue.size());
-    state.upstream_total = queued_on_road(link.from_road);
-    state.upstream_capacity = net_.road(link.from_road).capacity;
-    state.downstream_queue =
-        net_.road(link.to_road).is_exit() ? 0 : queued_on_road(link.to_road);
-    state.downstream_total = roads_[link.to_road.index()].occupancy;
-    state.downstream_capacity = net_.road(link.to_road).capacity;
-    state.service_rate = link.service_rate;
-    obs.links.push_back(state);
-  }
-  return obs;
+const core::IntersectionObservation& QueueSim::observe(std::size_t node) {
+  // Exit roads never hold queued vehicles (arrivals complete on the spot),
+  // so their road_queued_ row reads 0 as a downstream queue.
+  return obs_table_.refresh(node, now_, [this](const core::ObservationTable::Row& row,
+                                               core::LinkState& state) {
+    state.queue = static_cast<int>(links_[row.link].queue.size());
+    state.upstream_total = road_queued_[row.from_road];
+    state.downstream_queue = road_queued_[row.to_road];
+    state.downstream_total = roads_[row.to_road].occupancy;
+  });
 }
 
 void QueueSim::control_step() {
-  for (const net::Intersection& node : net_.intersections()) {
-    const net::PhaseIndex phase = controllers_[node.id.index()]->decide(observe(node));
+  const std::vector<net::Intersection>& nodes = net_.intersections();
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    const net::Intersection& node = nodes[n];
+    const net::PhaseIndex phase = controllers_[n]->decide(observe(n));
     if (phase < 0 || phase >= static_cast<int>(node.phases.size())) {
       throw std::logic_error("controller returned an out-of-range phase");
     }
-    if (phase != displayed_[node.id.index()]) {
+    if (phase != displayed_[n]) {
       // A phase change cuts service credit of links that lost green.
       for (LinkId lid : node.links) links_[lid.index()].credit = 0.0;
     }
-    displayed_[node.id.index()] = phase;
-    result_.phase_traces[node.id.index()].record(now_, phase);
+    displayed_[n] = phase;
+    result_.phase_traces[n].record(now_, phase);
   }
 }
 

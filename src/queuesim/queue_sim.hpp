@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/core/controller.hpp"
+#include "src/core/observation_table.hpp"
 #include "src/net/network.hpp"
 #include "src/stats/run_result.hpp"
 #include "src/traffic/demand.hpp"
@@ -143,9 +144,8 @@ class QueueSim {
   void sample_watches();
   void route_vehicle_into_queue(VehicleId vid, RoadId road);
   void complete_vehicle(VehicleId vid);
-  // Fills and returns the reusable observation buffer (valid until the next
-  // observe() call); avoids re-allocating the link array per decision.
-  [[nodiscard]] const core::IntersectionObservation& observe(const net::Intersection& node);
+  // Refreshes junction `node`'s row of the observation table and returns it.
+  [[nodiscard]] const core::IntersectionObservation& observe(std::size_t node);
 
   const net::Network& net_;
   QueueSimConfig config_;
@@ -178,8 +178,9 @@ class QueueSim {
   std::vector<traffic::SpawnRequest> spawn_buffer_;
 
   std::vector<Watch> watches_;
-  // Reused by observe() so the per-decision link array is allocated once.
-  core::IntersectionObservation obs_scratch_;
+  // Per-junction controller inputs; observe() rewrites only the dynamic
+  // fields.
+  core::ObservationTable obs_table_;
   stats::RunResult result_;
   bool finished_ = false;
 };

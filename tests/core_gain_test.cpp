@@ -139,7 +139,8 @@ TEST(AllLinkGains, ComputesPerLinkWithSharedWStar) {
   obs.links.push_back(make_link(5, 0, 0, 100));
   obs.links.push_back(make_link(0, 0, 0, 120));   // empty -> alpha
   obs.links.push_back(make_link(9, 0, 120, 120)); // full -> beta
-  const auto gains = all_link_gains_util(obs, params);
+  std::vector<double> gains(7, 0.0);  // resized to the link count
+  all_link_gains_util(obs, wstar(obs), params, gains);
   ASSERT_EQ(gains.size(), 3u);
   EXPECT_DOUBLE_EQ(gains[0], (5.0 + 120.0) * 1.0);  // W* = 120 shared
   EXPECT_DOUBLE_EQ(gains[1], params.alpha);
