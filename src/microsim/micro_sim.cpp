@@ -45,6 +45,17 @@ void MicroSim::build_runtime() {
   road_capacity_.reserve(net_.roads().size());
   for (const net::Road& road : net_.roads()) road_capacity_.push_back(road.capacity);
   occupancy_.assign(net_.roads().size(), 0);
+  road_info_.reserve(net_.roads().size());
+  for (const net::Road& road : net_.roads()) {
+    road_info_.push_back({road.length_m, road.speed_limit_mps,
+                          road.length_m - config_.service_zone_m, road.is_exit()});
+  }
+  const std::vector<RoadId>& entries = net_.entry_roads();
+  entry_buffers_.resize(entries.size());
+  entry_ordinal_.assign(net_.roads().size(), 0);
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    entry_ordinal_[entries[e].index()] = static_cast<std::uint32_t>(e);
+  }
   const std::size_t road_words = (net_.roads().size() + 63) / 64;
   occupied_.assign(road_words, 0);
   memo_dirty_.assign(road_words, 0);
@@ -89,7 +100,7 @@ void MicroSim::build_runtime() {
   // order, so iterating nodes in index order reproduces the historical
   // (intersection, phase-link) grant order exactly.
   phase_slot_base_.clear();
-  phase_slot_base_.reserve(net_.intersections().size());
+  phase_slot_base_.reserve(net_.intersections().size() + 1);
   phase_link_offsets_.assign(1, 0);
   phase_links_.clear();
   for (const net::Intersection& node : net_.intersections()) {
@@ -99,10 +110,12 @@ void MicroSim::build_runtime() {
       phase_link_offsets_.push_back(static_cast<std::uint32_t>(phase_links_.size()));
     }
   }
+  phase_slot_base_.push_back(static_cast<std::uint32_t>(phase_link_offsets_.size() - 1));
 
   road_queued_approach_.assign(net_.roads().size(), 0);
   road_queued_congestion_.assign(net_.roads().size(), 0);
   link_queued_approach_.assign(net_.links().size(), 0);
+  head_in_zone_.assign(net_.links().size(), 0);
   sweep_scratch_.resize(static_cast<std::size_t>(config_.threads));
   std::size_t max_lanes = 1;
   for (const RoadRt& rt : roads_) max_lanes = std::max(max_lanes, rt.lanes.size());
@@ -130,6 +143,8 @@ int MicroSim::lane_count(LinkId link) const {
 int MicroSim::road_occupancy(RoadId road) const { return occupancy_[road.index()]; }
 
 bool MicroSim::road_occupied(RoadId road) const { return bit_set(occupied_, road.index()); }
+
+bool MicroSim::head_in_zone(LinkId link) const { return head_in_zone_[link.index()] != 0; }
 
 core::LinkState MicroSim::recount_link_state(LinkId link) const {
   const net::Link& l = net_.link(link);
@@ -159,6 +174,19 @@ void MicroSim::add_occupant(std::size_t road) {
 
 void MicroSim::remove_occupant(std::size_t road) {
   if (--occupancy_[road] == 0) occupied_[road / 64] &= ~bit_of(road);
+}
+
+void MicroSim::update_head_in_zone(std::size_t road, const Lane& lane) {
+  const std::uint8_t in_zone =
+      !lane.vehicles.empty() && lane.pos.front() >= road_info_[road].stop_line ? 1 : 0;
+  if (lane.link) {
+    head_in_zone_[lane.link->index()] = in_zone;
+    return;
+  }
+  // Mixed lane: it feeds every movement of the road.
+  for (LinkId lid : net_.links_from(RoadId(static_cast<RoadId::value_type>(road)))) {
+    head_in_zone_[lid.index()] = in_zone;
+  }
 }
 
 void MicroSim::set_road_capacity(RoadId road, int capacity) {
@@ -266,25 +294,34 @@ const core::IntersectionObservation& MicroSim::observe(std::size_t node) {
   // Queue readings pass through the detector model, in link order and
   // queue / upstream / downstream order within a link (the rng_ sequence);
   // occupancy is physical state, never perturbed. True counts come from the
-  // control-step memo tables, not per-link scans.
-  return obs_table_.refresh(node, now_, [this](const core::ObservationTable::Row& row,
-                                               core::LinkState& state) {
-    state.queue = core::measure_queue(link_queued_approach_[row.link], config_.sensor, rng_);
-    state.upstream_total =
-        core::measure_queue(road_queued_approach_[row.from_road], config_.sensor, rng_);
+  // control-step memo tables, not per-link scans. The sensor model is a
+  // local copy: the int stores into `state` could alias its int field, which
+  // would force a reload of the whole model before every reading.
+  const core::SensorModel sensor = config_.sensor;
+  return obs_table_.refresh(node, now_, [this, &sensor](const core::ObservationTable::Row& row,
+                                                        core::LinkState& state) {
+    state.queue = core::measure_queue(link_queued_approach_[row.link], sensor, rng_);
+    state.upstream_total = core::measure_queue(road_queued_approach_[row.from_road], sensor, rng_);
     state.downstream_queue =
-        core::measure_queue(road_queued_congestion_[row.to_road], config_.sensor, rng_);
+        core::measure_queue(road_queued_congestion_[row.to_road], sensor, rng_);
     state.downstream_total = occupancy_[row.to_road];
   });
 }
 
 void MicroSim::control_step() {
-  const std::vector<net::Intersection>& nodes = net_.intersections();
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
+  // A trace records only phase changes: PhaseTrace::record collapses a run of
+  // the same phase anyway, and finish() closes every trace at the run's end,
+  // so skipping the repeats leaves each finished trace bit-identical. The
+  // run's first control step (next_control_ not yet advanced) records every
+  // junction's initial display, whatever displayed_ was initialized to.
+  const bool first_step = next_control_ == 0.0;
+  for (std::size_t n = 0; n < controllers_.size(); ++n) {
     const net::PhaseIndex phase = controllers_[n]->decide(observe(n));
-    if (phase < 0 || phase >= static_cast<int>(nodes[n].phases.size())) {
+    if (phase < 0 ||
+        phase >= static_cast<int>(phase_slot_base_[n + 1] - phase_slot_base_[n])) {
       throw std::logic_error("controller returned an out-of-range phase");
     }
+    if (phase == displayed_[n] && !first_step) continue;
     displayed_[n] = phase;
     result_.phase_traces[n].record(now_, phase);
   }
@@ -316,9 +353,15 @@ void MicroSim::admit_spawns() {
     m.loc = Loc::Outside;
     m.road = req.entry;
     result_.metrics.generated += 1;
-    roads_[req.entry.index()].buffer.push_back(vid);
+    entry_buffers_[entry_ordinal_[req.entry.index()]].push_back(vid);
   }
-  for (RoadId entry : net_.entry_roads()) {
+  const std::vector<RoadId>& entries = net_.entry_roads();
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    std::deque<VehicleId>& buffer = entry_buffers_[e];
+    // Nobody waiting: nothing to admit, and the blocked-time term below
+    // would add +0.0 (the identity on the non-negative total).
+    if (buffer.empty()) continue;
+    const RoadId entry = entries[e];
     RoadRt& rt = roads_[entry.index()];
     const int capacity = road_capacity_[entry.index()];
     // Per-lane FIFO admission: dedicated turning lanes run the full road
@@ -329,7 +372,7 @@ void MicroSim::admit_spawns() {
     // never to a fixed lane count.
     std::fill(lane_blocked_.begin(), lane_blocked_.begin() + rt.lanes.size(), 0);
     int& occupancy = occupancy_[entry.index()];
-    for (auto it = rt.buffer.begin(); it != rt.buffer.end() && occupancy < capacity;) {
+    for (auto it = buffer.begin(); it != buffer.end() && occupancy < capacity;) {
       const VehicleId vid = *it;
       VehMeta& m = veh_meta_[vid.index()];
       const int lane = lane_index_for_turn(entry, m.route.turns.front());
@@ -338,7 +381,7 @@ void MicroSim::admit_spawns() {
         ++it;
         continue;
       }
-      it = rt.buffer.erase(it);
+      it = buffer.erase(it);
       add_occupant(entry.index());
       m.loc = Loc::Lane;
       m.lane = lane;
@@ -347,16 +390,19 @@ void MicroSim::admit_spawns() {
         veh_next_link_[vid.index()] = *movement;
       }
       in_network_count_ += 1;
-      rt.lanes[static_cast<std::size_t>(lane)].push_vehicle(
-          vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(entry).speed_limit_mps),
+      Lane& entry_lane = rt.lanes[static_cast<std::size_t>(lane)];
+      entry_lane.push_vehicle(
+          vid, 0.0,
+          std::min(config_.insertion_speed_mps, road_info_[entry.index()].speed_limit_mps),
           veh_waiting_[vid.index()]);
+      if (entry_lane.vehicles.size() == 1) update_head_in_zone(entry.index(), entry_lane);
       result_.metrics.entered += 1;
       // The lane just received a vehicle at its entry point; nobody else fits
       // behind it this step.
       lane_blocked_[static_cast<std::size_t>(lane)] = 1;
     }
     result_.metrics.entry_blocked_time_s +=
-        static_cast<double>(rt.buffer.size()) * config_.dt_s;
+        static_cast<double>(buffer.size()) * config_.dt_s;
   }
 }
 
@@ -373,9 +419,12 @@ void MicroSim::release_junction_vehicles() {
     RoadRt& target = roads_[m.road.index()];
     if (m.junction_exit <= now_ && entry_clear(target, m.lane)) {
       m.loc = Loc::Lane;
-      target.lanes[static_cast<std::size_t>(m.lane)].push_vehicle(
-          vid, 0.0, std::min(config_.insertion_speed_mps, net_.road(m.road).speed_limit_mps),
+      Lane& lane = target.lanes[static_cast<std::size_t>(m.lane)];
+      lane.push_vehicle(
+          vid, 0.0,
+          std::min(config_.insertion_speed_mps, road_info_[m.road.index()].speed_limit_mps),
           veh_waiting_[vid.index()]);
+      if (lane.vehicles.size() == 1) update_head_in_zone(m.road.index(), lane);
     } else {
       in_junction_[kept++] = vid;
     }
@@ -393,10 +442,11 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
   const RoadId to_road = l.to_road;
   if (occupancy_[to_road.index()] >= road_capacity_[to_road.index()]) return false;
   const RoadRt& target = roads_[to_road.index()];
+  const bool to_exit = road_info_[to_road.index()].is_exit;
 
   int target_lane = 0;
   const std::size_t next = m.next_turn + 1;
-  if (!net_.road(to_road).is_exit()) {
+  if (!to_exit) {
     if (next >= m.route.turns.size()) {
       throw std::logic_error("route exhausted before reaching an exit road");
     }
@@ -415,7 +465,7 @@ bool MicroSim::try_grant(VehicleId vid, LinkId link) {
   m.lane = target_lane;
   m.next_turn = next;
   veh_next_link_[vid.index()] = LinkId{};
-  if (!net_.road(to_road).is_exit()) {
+  if (!to_exit) {
     if (const std::optional<LinkId> movement = movement_of(m, to_road)) {
       veh_next_link_[vid.index()] = *movement;
     }
@@ -430,27 +480,28 @@ void MicroSim::service_junctions() {
   // following normally in the sweep. Only the currently green links are
   // visited — each node's displayed phase selects its slot of the precomputed
   // green-link index, so red movements are never scanned and control steps no
-  // longer rebuild any green set. On a mixed lane the head vehicle's own route
-  // decides the movement
-  // — the grant happens on the link matching the head's resolved next_link,
-  // and if that movement is red the whole lane waits behind it (head-of-line
-  // blocking). Grants read and write state of the *downstream* road
-  // (occupancy reservation, insertion-gap check), which another road's work
-  // unit owns — that cross-road coupling is exactly why this phase runs
-  // sequentially, before the parallel sweep.
-  for (const net::Intersection& node : net_.intersections()) {
-    const std::size_t ni = node.id.index();
+  // longer rebuild any green set — and of those only links whose
+  // head_in_zone_ flag is set go past one byte read. On a mixed lane the head
+  // vehicle's own route decides the movement — the grant happens on the link
+  // matching the head's resolved next_link, and if that movement is red the
+  // whole lane waits behind it (head-of-line blocking). Grants read and write
+  // state of the *downstream* road (occupancy reservation, insertion-gap
+  // check), which another road's work unit owns — that cross-road coupling is
+  // exactly why this phase runs sequentially, before the parallel sweep.
+  for (std::size_t ni = 0; ni < displayed_.size(); ++ni) {
     const std::uint32_t slot =
         phase_slot_base_[ni] + static_cast<std::uint32_t>(displayed_[ni]);
     const std::uint32_t slot_end = phase_link_offsets_[slot + 1];
     for (std::uint32_t k = phase_link_offsets_[slot]; k < slot_end; ++k) {
+      // Nothing at the stop line (an empty lane, or a head short of the
+      // service zone): skip on the link's flag alone, before loading the
+      // link's runtime state or its lane.
       const LinkId lid = phase_links_[k];
+      if (head_in_zone_[lid.index()] == 0) continue;
       const LinkRt& lrt = links_[lid.index()];
-      // An empty road has an empty stop line: skip it before touching it.
-      if (!bit_set(occupied_, lrt.from_road.index()) || now_ < lrt.next_grant) continue;
-      RoadRt& rt = roads_[lrt.from_road.index()];
-      Lane& lane = rt.lanes[static_cast<std::size_t>(lrt.lane_index)];
-      if (lane.vehicles.empty()) continue;
+      if (now_ < lrt.next_grant) continue;
+      const std::size_t from = lrt.from_road.index();
+      Lane& lane = roads_[from].lanes[static_cast<std::size_t>(lrt.lane_index)];
       const VehicleId vid = lane.vehicles.front();
       // Mixed lane: this link only serves the head if it is the head's own
       // movement (dedicated lanes satisfy this by construction), and the stop
@@ -460,22 +511,21 @@ void MicroSim::service_junctions() {
           (veh_next_link_[vid.index()] != lid || lane.serviced_at == now_)) {
         continue;
       }
-      const net::Road& road = net_.road(lrt.from_road);
-      if (lane.pos.front() < road.length_m - config_.service_zone_m) continue;
       if (!try_grant(vid, lid)) continue;
       lane.serviced_at = now_;
       veh_waiting_[vid.index()] = lane.waiting.front();
       VehMeta& m = veh_meta_[vid.index()];
       m.junction_exit = now_ + config_.junction_crossing_s;
-      remove_occupant(lrt.from_road.index());
+      remove_occupant(from);
       lane.pop_head();
+      update_head_in_zone(from, lane);
       m.loc = Loc::Junction;
       in_junction_.push_back(vid);
     }
   }
 }
 
-void MicroSim::sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamRng& rng,
+void MicroSim::sweep_lane(std::size_t road_index, RoadRt& rt, Lane& lane, StreamRng& rng,
                           LaneKernelScratch& scratch) {
   const std::size_t n = lane.vehicles.size();
   if (n == 0) return;
@@ -491,8 +541,9 @@ void MicroSim::sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamR
   // (same TBAA class), which would force the compiler to reload them each
   // iteration; locals provably cannot alias and stay in registers.
   const VehicleParams vp = config_.vehicle;
+  const RoadInfo& road = road_info_[road_index];
   const double road_length = road.length_m;
-  const bool is_exit = road.is_exit();
+  const bool is_exit = road.is_exit;
   double* pos = &lane.pos[0];
   double* speed = &lane.speed[0];
 
@@ -545,7 +596,6 @@ void MicroSim::sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamR
       approach += speed[i] < approach_threshold ? 1 : 0;
       congestion += speed[i] < congestion_threshold ? 1 : 0;
     }
-    const std::size_t road_index = road.id.index();
     road_queued_approach_[road_index] += approach;
     road_queued_congestion_[road_index] += congestion;
     if (lane.link) {
@@ -562,9 +612,8 @@ void MicroSim::sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamR
       }
     }
   }
-  if (begin == 1) {
-    lane.pop_head();
-  }
+  if (begin == 1) lane.pop_head();
+  if (!is_exit) update_head_in_zone(road_index, lane);
 }
 
 void MicroSim::sweep_roads() {
@@ -586,7 +635,6 @@ void MicroSim::sweep_roads() {
     std::fill(road_queued_congestion_.begin(), road_queued_congestion_.end(), 0);
     std::fill(link_queued_approach_.begin(), link_queued_approach_.end(), 0);
   }
-  const std::vector<net::Road>& roads = net_.roads();
   // Work units are words of the occupied-road bitset; a road's bits, memo
   // rows and dirty bit are touched only by the unit owning its word (a
   // link's row belongs to its from_road), so the sweep stays race-free and
@@ -613,7 +661,7 @@ void MicroSim::sweep_roads() {
             for (Lane& lane : rt.lanes) {
               // Empty dedicated lanes are common (traffic concentrates on a
               // few movements); skip them before paying the call.
-              if (!lane.vehicles.empty()) sweep_lane(roads[r], rt, lane, stream, scratch);
+              if (!lane.vehicles.empty()) sweep_lane(r, rt, lane, stream, scratch);
             }
           }
           if (memo_pending_) memo_dirty_[w] = occupied;
@@ -625,7 +673,7 @@ void MicroSim::sweep_roads() {
 void MicroSim::zero_memo_rows(std::size_t road_index) {
   road_queued_approach_[road_index] = 0;
   road_queued_congestion_[road_index] = 0;
-  for (LinkId lid : net_.links_from(net_.roads()[road_index].id)) {
+  for (LinkId lid : net_.links_from(RoadId(static_cast<RoadId::value_type>(road_index)))) {
     link_queued_approach_[lid.index()] = 0;
   }
 }

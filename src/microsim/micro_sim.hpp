@@ -32,14 +32,25 @@
 // that touches cross-road state) and a data-parallel sweep phase: the Krauss
 // update of every lane of every occupied road. A control step refreshes each
 // junction's row of the shared core::ObservationTable from the dense memo and
-// occupancy arrays (four fields per link; the static ones were written once)
-// and asks its controller for a phase. The tick touches only occupied roads:
-// a bitset with bit r set iff road r's occupancy is nonzero, updated on
-// 0 <-> 1 transitions, drives the sweep, the lazy memo-row zeroing and the
-// stop-line service, in ascending road order. The sweep is partitioned by
+// occupancy arrays (four fields per link; the static ones were written once),
+// asks its controller for a phase, range-checks it against the junction's
+// phase count from the dense green-link index, and records it in the phase
+// trace only when it changes. The tick touches only occupied roads: a bitset
+// with bit r set iff road r's occupancy is nonzero, updated on 0 <-> 1
+// transitions, drives the sweep and the lazy memo-row zeroing in ascending
+// road order. The per-tick loops read dense tables built once at
+// construction rather than net::Network objects: a 32-byte per-road record
+// (length, speed limit, stop-line position, exit flag) and the green-link
+// index. The stop-line service walks each junction's green links and reads
+// one byte per link — "the lane's head is in the service zone", kept exact
+// wherever a lane head can change — so it loads a link's runtime state and
+// lane only when there is a vehicle to serve. The spawn FIFOs live in a table
+// indexed by entry-road ordinal, not in every road's runtime record, and
+// admission skips entry roads nobody waits on. The sweep is partitioned by
 // bitset words across a fixed ThreadPool. During the sweep a road's work
 // unit reads and writes only state owned by that road (its lanes, its
-// vehicles' kinematic arrays, its memo-table rows) and draws dawdling noise
+// vehicles' kinematic arrays, its memo-table rows and its movements'
+// stop-line flags) and draws dawdling noise
 // from the road's own counter-based StreamRng, so fixed-seed results are
 // bit-identical at every MicroSimConfig::threads value. Exit-road
 // completions are staged per road during the sweep and applied sequentially
@@ -117,6 +128,10 @@ class MicroSim {
   // The road's bit in the occupied-road set the tick visits; must equal
   // road_occupancy(road) > 0 between ticks.
   [[nodiscard]] bool road_occupied(RoadId road) const;
+  // The movement's stop-line flag the service reads; must equal "the lane
+  // feeding `link` is nonempty and its head is at or past the road's length
+  // minus the service zone" between ticks.
+  [[nodiscard]] bool head_in_zone(LinkId link) const;
   // The junction's observation as of its latest control step.
   [[nodiscard]] const core::IntersectionObservation& observation(IntersectionId node) const;
   // Brute-force recount of the live state behind one movement's
@@ -211,8 +226,17 @@ class MicroSim {
     // cleared) sequentially by apply_completions(). At most one per tick:
     // exit roads have a single lane and only its head can cross the far end.
     VehicleId completed;
-    // Spawns waiting outside the network for space, FIFO.
-    std::deque<VehicleId> buffer;
+  };
+
+  // The per-road constants the tick reads, copied once from net::Road: one
+  // dense 32-byte record instead of the 80-byte Road behind a bounds-checked
+  // accessor.
+  struct RoadInfo {
+    double length_m = 0.0;
+    double speed_limit_mps = 0.0;
+    // Start of the stop-line service zone: length_m - service_zone_m.
+    double stop_line = 0.0;
+    bool is_exit = false;
   };
 
   struct LinkRt {
@@ -245,7 +269,7 @@ class MicroSim {
   // One lane's update: the vectorized kernel passes of lane_kernel.hpp over
   // the lane's SoA arrays, then the (branchy, per-vehicle) accounting tail —
   // completion staging, waiting-time accumulation, queued-count memos.
-  void sweep_lane(const net::Road& road, RoadRt& rt, Lane& lane, StreamRng& rng,
+  void sweep_lane(std::size_t road_index, RoadRt& rt, Lane& lane, StreamRng& rng,
                   LaneKernelScratch& scratch);
   // Applies the completions staged by sweep_roads(), in exit-road order.
   void apply_completions();
@@ -261,6 +285,9 @@ class MicroSim {
   // Occupancy +1 / -1 on a road, keeping occupied_ in step on 0 <-> 1.
   void add_occupant(std::size_t road);
   void remove_occupant(std::size_t road);
+  // Re-derives head_in_zone_ for the movements `lane` (on road `road`)
+  // feeds, after its head moved, was popped or was pushed onto an empty lane.
+  void update_head_in_zone(std::size_t road, const Lane& lane);
   static constexpr std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << (i % 64); }
   static bool bit_set(const std::vector<std::uint64_t>& bits, std::size_t i) {
     return (bits[i / 64] & bit_of(i)) != 0;
@@ -320,21 +347,30 @@ class MicroSim {
   int in_network_count_ = 0;
 
   std::vector<RoadRt> roads_;
+  std::vector<RoadInfo> road_info_;
   // Per road: vehicles on its lanes plus junction-box reservations headed
   // there (dense, for admission, grants and observations) ...
   std::vector<int> occupancy_;
   // ... and the same as a bitset, bit r set iff occupancy_[r] > 0. The sweep
-  // and the memo zeroing visit only set bits, the stop-line service skips
-  // green links whose road bit is clear.
+  // and the memo zeroing visit only set bits.
   std::vector<std::uint64_t> occupied_;
   std::vector<LinkRt> links_;
+  // Per link: 1 iff the lane feeding it is nonempty and its head is in the
+  // stop-line service zone (position >= RoadInfo::stop_line). Written where a
+  // lane head can change — the sweep (by the work unit owning the link's
+  // from-road, like the link's memo row), service pops, and pushes onto an
+  // empty lane — so the service loop skips every link whose stop line has
+  // nothing to serve on one byte, without loading the link or its lane. On a
+  // mixed lane every movement of the road carries the lane's flag.
+  std::vector<std::uint8_t> head_in_zone_;
   // Precomputed green-link index (CSR): for intersection n displaying phase
   // p, the movements with right-of-way are
   //   phase_links_[phase_link_offsets_[s] .. phase_link_offsets_[s + 1])
   // with s = phase_slot_base_[n] + p. Built once in build_runtime() from the
   // finalized phase plans; the transition phase's slot is empty, so the
   // junction phase needs no special case and control_step() maintains no
-  // green set at all.
+  // green set at all. phase_slot_base_ ends with a sentinel, so junction n
+  // has phase_slot_base_[n + 1] - phase_slot_base_[n] phases.
   std::vector<LinkId> phase_links_;
   std::vector<std::uint32_t> phase_link_offsets_;
   std::vector<std::uint32_t> phase_slot_base_;
@@ -358,6 +394,11 @@ class MicroSim {
   std::vector<std::uint64_t> memo_dirty_;
   bool memo_pending_ = false;
   bool memo_always_rebuild_ = false;
+  // Spawns waiting outside the network for space, FIFO, one queue per entry
+  // road: entry_buffers_[e] belongs to net_.entry_roads()[e], and
+  // entry_ordinal_[r] is e for entry road r (other roads' rows are unused).
+  std::vector<std::deque<VehicleId>> entry_buffers_;
+  std::vector<std::uint32_t> entry_ordinal_;
   // Per-entry-road admission scratch, sized to the widest road once.
   std::vector<char> lane_blocked_;
   // Reused per-tick spawn buffer filled by DemandGenerator::poll_into.

@@ -20,16 +20,6 @@ bool uses_period(core::ControllerType type) {
   return type != core::ControllerType::UtilBp;
 }
 
-MetricVector mean_metrics(const std::vector<stats::RunResult>& results) {
-  MetricVector mean{};
-  for (const stats::RunResult& r : results) {
-    const MetricVector m = extract_metrics(r);
-    for (std::size_t i = 0; i < kMetricCount; ++i) mean[i] += m[i];
-  }
-  for (double& v : mean) v /= static_cast<double>(results.size());
-  return mean;
-}
-
 }  // namespace
 
 void apply_sweep_point(scenario::ScenarioConfig& config, const SweepPoint& point) {

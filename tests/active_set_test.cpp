@@ -5,9 +5,13 @@
 // occupancy, updated on 0 <-> 1 transitions in admission, grants, service
 // and completions. A missed transition would silently freeze a road (never
 // swept again) or leave stale memo rows behind, so these tests check the
-// bitset against the occupancy counters after every tick. They also check,
-// at every control step, that each junction's observation-table row equals
-// a brute-force recount of the live state (lane scans and the junction box,
+// bitset against the occupancy counters after every tick. The stop-line
+// service likewise reads a per-link flag ("the lane's head is in the service
+// zone") that is written only where a lane head can change; a missed update
+// would skip or mis-serve a stop line, so every link's flag is checked
+// against the lane's positions after every tick too. They also check, at
+// every control step, that each junction's observation-table row equals a
+// brute-force recount of the live state (lane scans and the junction box,
 // not the memo tables or counters the table is filled from).
 #include <gtest/gtest.h>
 
@@ -69,6 +73,7 @@ void run_checked(const scenario::ScenarioConfig& cfg, stats::RunResult& result,
   std::vector<core::LinkState> recount(network.links().size());
   std::size_t control_checks = 0;
   std::size_t drained_roads = 0;
+  std::size_t heads_in_zone = 0;
   std::vector<char> was_occupied(network.roads().size(), 0);
   while (sim.now() < cfg.duration_s) {
     const double t = sim.now();
@@ -94,6 +99,15 @@ void run_checked(const scenario::ScenarioConfig& cfg, stats::RunResult& result,
       if (was_occupied[road.id.index()] && !occupied) ++drained_roads;
       was_occupied[road.id.index()] = occupied ? 1 : 0;
     }
+    for (const net::Link& link : network.links()) {
+      const std::vector<double> positions = sim.lane_positions(link.id);
+      const bool in_zone =
+          !positions.empty() &&
+          positions.front() >= network.road(link.from_road).length_m - cfg.micro.service_zone_m;
+      ASSERT_EQ(sim.head_in_zone(link.id), in_zone)
+          << "link " << link.id.index() << " lane size " << positions.size() << " t=" << sim.now();
+      if (in_zone) ++heads_in_zone;
+    }
     for (const net::Intersection& node : network.intersections()) {
       const core::IntersectionObservation& obs = sim.observation(node.id);
       if (obs.time != t) continue;  // no control step this tick
@@ -108,6 +122,7 @@ void run_checked(const scenario::ScenarioConfig& cfg, stats::RunResult& result,
   // refilled, so both bit transitions were exercised.
   EXPECT_GT(control_checks, network.intersections().size() * 100);
   EXPECT_GT(drained_roads, 100u);
+  EXPECT_GT(heads_in_zone, 1000u);
   result = sim.finish(cfg.duration_s);
 }
 

@@ -27,7 +27,10 @@
 // (followers react to the leader's previous-step state).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <vector>
 
 #include "src/scenario/scenario.hpp"
 
@@ -50,6 +53,45 @@ scenario::ScenarioConfig golden_config(scenario::SimulatorKind sim) {
     cfg.micro.sensor.dropout_probability = 0.01;
   }
   return cfg;
+}
+
+// One junction's phase trace, reduced to what pins it exactly: the sample
+// count, transition count and end time, plus an FNV-1a hash over the bit
+// patterns of every (time, phase) sample in order.
+struct TracePin {
+  std::size_t samples;
+  int transitions;
+  double end_time;
+  std::uint64_t hash;
+  bool operator==(const TracePin&) const = default;
+};
+
+TracePin pin_of(const stats::PhaseTrace& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const stats::PhaseTrace::Sample& s : trace.samples()) {
+    mix(std::bit_cast<std::uint64_t>(s.time));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.phase)));
+  }
+  return {trace.samples().size(), trace.transition_count(), trace.end_time(), h};
+}
+
+// Compares every junction's trace against its pin; on a mismatch prints the
+// actual rows in paste-ready form.
+void expect_traces(const stats::RunResult& r, const std::vector<TracePin>& pins) {
+  std::vector<TracePin> actual;
+  for (const stats::PhaseTrace& trace : r.phase_traces) actual.push_back(pin_of(trace));
+  if (actual == pins) return;
+  ADD_FAILURE() << "phase traces differ from their pins; actual rows follow";
+  for (const TracePin& p : actual) {
+    std::printf("      {%zu, %d, %a, 0x%016llxULL},\n", p.samples, p.transitions, p.end_time,
+                static_cast<unsigned long long>(p.hash));
+  }
 }
 
 void expect_identical(const stats::NetworkMetrics& a, const stats::NetworkMetrics& b) {
@@ -136,6 +178,30 @@ TEST(GoldenDeterminism, QueueSimPinnedMetrics) {
   EXPECT_EQ(r.metrics.queuing_time_s.mean(), 0x1.7639f656f1827p+4);  // 23.38915094
   EXPECT_EQ(r.metrics.travel_time_s.mean(), 0x1.0b67d95bc609bp+6);   // 66.85141509
   EXPECT_EQ(r.metrics.entry_blocked_time_s, 0x0p+0);
+}
+
+// Every junction's displayed-phase history, pinned exactly (captured before
+// MicroSim's control step began recording only phase changes): a change to
+// how or when a control step records phases must leave each trace
+// sample-for-sample identical, end time included.
+TEST(GoldenDeterminism, MicroSimPinnedPhaseTraces) {
+  const auto r = scenario::run_scenario(golden_config(scenario::SimulatorKind::Micro));
+  expect_traces(r, {
+      {228, 114, 0x1.c2p+9, 0x3bbd0f6adc2211b1ULL},
+      {250, 125, 0x1.c2p+9, 0xde13d240d0700901ULL},
+      {246, 123, 0x1.c2p+9, 0x8b37752e9260492cULL},
+      {239, 119, 0x1.c2p+9, 0xf909b606bba98ed1ULL},
+  });
+}
+
+TEST(GoldenDeterminism, QueueSimPinnedPhaseTraces) {
+  const auto r = scenario::run_scenario(golden_config(scenario::SimulatorKind::Queue));
+  expect_traces(r, {
+      {264, 132, 0x1.c2p+9, 0xe3ddfac65d15940eULL},
+      {272, 136, 0x1.c2p+9, 0xbdef91fdee954c33ULL},
+      {280, 140, 0x1.c2p+9, 0x8e80ea978dfaff28ULL},
+      {281, 140, 0x1.c2p+9, 0xd61c45725b027bb4ULL},
+  });
 }
 
 }  // namespace
